@@ -83,10 +83,6 @@ def dump_document(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def is_morphism_document(obj):
-    return isinstance(obj, dict) and "matrix" in obj
-
-
 def _parse_vertices(obj, n, path):
     order, chi, ghosts = [], {}, set()
     for i, entry in enumerate(_list(obj, path)):

@@ -12,14 +12,33 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Least strong pseudoprime to all of _MR_BASES (Sorenson and Webster 2015).
+_MODULUS_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin on the first 13 prime bases; exact for
+    p < _MODULUS_LIMIT, about 3.3e24."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -51,6 +70,9 @@ class CoefficientRing:
 
     @classmethod
     def integers_mod(cls, p):
+        if p >= _MODULUS_LIMIT:
+            raise ValueError("modulus %d is too large: primality is "
+                             "certified only below %d" % (p, _MODULUS_LIMIT))
         if not _is_prime(p):
             raise ValueError("modulus must be a prime, got %r" % (p,))
         return cls("Zmod", p)
@@ -230,11 +252,6 @@ class ExactMatrix:
                 row.pop(j, None)
                 if not row:
                     del self.rows[i]
-
-    def copy(self):
-        out = ExactMatrix(self.nrows, self.ncols, self.ring)
-        out.rows = {i: dict(row) for i, row in self.rows.items()}
-        return out
 
     def transpose(self):
         out = ExactMatrix(self.ncols, self.nrows, self.ring)

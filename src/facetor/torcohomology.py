@@ -7,7 +7,14 @@ the integers), the incoming image is rewritten in kernel coordinates, and
 its cokernel structure yields ranks, torsion invariants, and deterministic
 representative cocycles.  When chi is the identity the differential also
 preserves the fine multidegree, so each bidegree splits into small blocks
-that are solved independently.
+that are solved independently (method "blocks").  On a simplicial complex
+only the squarefree multidegrees are built: a key (S, t_sigma) with the
+face sigma disjoint from S, grouped by W = S + V(sigma).  By Hochster's
+formula the Koszul complex of a Stanley-Reisner ring is exact over every
+coefficient ring in the other multidegrees, so those blocks carry no
+cohomology; reduction gives their components zero coordinates after the
+cocycle check, and coboundary_witness builds such a block on demand.
+Simplicial posets that are not complexes build every multidegree block.
 
 Classes are coordinate vectors over the representatives of one total
 degree, free coordinates first and torsion coordinates reduced mod their
@@ -40,11 +47,10 @@ def _bidegree_basis(face, n, k, t):
                  for mono in monos)
 
 
-def _scalar_mul(ring, a, b):
-    c = a * b
-    if ring.modulus:
-        c %= ring.modulus
-    return c
+def _has_monomials(face, d):
+    """Whether the face ring has standard monomials of degree d: 1 in
+    degree 0, and t_v^(d/2) in every positive even degree."""
+    return d == 0 or (d > 0 and d % 2 == 0 and bool(face.poset.vertices))
 
 
 def _row_dot(ring, row, vec):
@@ -101,15 +107,10 @@ class _Block:
         self.kernel_cols = [vcols.get(j, {}) for j in range(r, len(keys))]
         dim_ker = len(keys) - r
         self.incoming = incoming
-        xcols = []
-        for key in incoming:
-            w = {self.index[key2]: c for key2, c in dvec(key).items()}
-            y = {}
-            for i, row in enumerate(self.kernel_rows):
-                v = _row_dot(ring, row, w)
-                if v:
-                    y[i] = v
-            xcols.append(y)
+        xcols = [self.kernel_coords(
+                     ring, {self.index[key2]: c
+                            for key2, c in dvec(key).items()})
+                 for key in incoming]
         self.image = ExactMatrix.from_columns(xcols, dim_ker, ring)
         self.coker = self.image.cokernel_structure()
 
@@ -124,6 +125,20 @@ class _Block:
                 else:
                     del out[pos]
         return {self.keys[pos]: c for pos, c in out.items()}
+
+    @property
+    def size(self):
+        """Number of generators: free ones, then torsion ones."""
+        return self.coker.free_rank + len(self.coker.torsion)
+
+    def local(self, comp):
+        """{position: coefficient} of the keys of comp in this block."""
+        out = {}
+        for key, c in comp.items():
+            i = self.index.get(key)
+            if i is not None:
+                out[i] = c
+        return out
 
     def kernel_coords(self, ring, w_local):
         y = {}
@@ -179,11 +194,10 @@ class CohomologyClass:
         self.coords = tuple(self._canon(c, m) for c, m in zip(coords, moduli))
 
     def _canon(self, c, m):
-        if m:
-            return int(c) % m
-        if self.table.ring.modulus:
-            return c % self.table.ring.modulus
-        return c
+        ring = self.table.ring
+        if ring.kind != "QQ":
+            c = ring.convert(c)  # over ZZ, ValueError unless c is integral
+        return c % m if m else c
 
     def _zip(self, other, op):
         if other.table is not self.table or other.total != self.total:
@@ -201,6 +215,8 @@ class CohomologyClass:
         return self.scale(-1)
 
     def scale(self, c):
+        if self.table.ring.kind != "QQ":
+            c = self.table.ring.convert(c)
         return CohomologyClass(self.table, self.total,
                                tuple(c * a for a in self.coords))
 
@@ -262,19 +278,25 @@ class _Generator:
 
 
 class TorTable:
-    """All bidegrees with total degree up to the bound, over one ring."""
+    """All bidegrees with total degree up to the bound, over one ring.
 
-    __slots__ = ("data", "ring", "bound", "method", "face", "entries",
-                 "_layouts")
+    squarefree is true when the entries hold only the squarefree
+    multidegree blocks (identity chi on a simplicial complex)."""
 
-    def __init__(self, data, ring, bound, method, face, entries):
+    __slots__ = ("data", "ring", "bound", "method", "squarefree", "face",
+                 "entries", "_layouts", "_monomials", "_skipped")
+
+    def __init__(self, data, ring, bound, method, squarefree, face, entries):
         self.data = data
         self.ring = ring
         self.bound = bound
         self.method = method
+        self.squarefree = squarefree
         self.face = face
         self.entries = entries
         self._layouts = {}
+        self._monomials = {}
+        self._skipped = {}
 
     def rank(self, bidegree):
         entry = self.entries.get(bidegree)
@@ -359,8 +381,7 @@ class TorTable:
                 raise ValueError("zero element needs an explicit total "
                                  "degree; use zero_class")
             return self.zero_class(total)
-        poset = self.data.poset
-        ztotal = element_total_degree(poset, z)
+        ztotal = element_total_degree(self.data.poset, z)
         if total is not None and total != ztotal:
             raise ValueError("element has total degree %d, not %d"
                              % (ztotal, total))
@@ -369,35 +390,27 @@ class TorTable:
                              % (ztotal, self.bound))
         if differential(z, self.data, self.ring, self.face):
             raise ValueError("element is not a cocycle")
-        comps = {}
-        for (S, mono), c in z.items():
-            bd = (-len(S), monomial_degree(poset, mono) + 2 * len(S))
-            comps.setdefault(bd, {})[(S, mono)] = c
         layout = self.layout(ztotal)
         coords = [0] * layout.size
         offsets = {bd: offset for bd, offset, _ in layout.parts}
-        for bd, comp in comps.items():
+        for bd, comp in self._components(z).items():
             entry = self.entries.get(bd)
             if entry is None:
                 raise ValueError("no basis at bidegree %r" % (bd,))
             pos = offsets[bd]
             seen = 0
             for block in entry.blocks:
-                w_local = {}
-                for key, c in comp.items():
-                    i = block.index.get(key)
-                    if i is not None:
-                        w_local[i] = c
-                seen += len(w_local)
-                free, tors = block.coker.project(
-                    block.kernel_coords(self.ring, w_local))
-                for v in free:
-                    coords[pos] = v
-                    pos += 1
-                for v in tors:
-                    coords[pos] = v
-                    pos += 1
-            if seen != len(comp):
+                w_local = block.local(comp)
+                if w_local:
+                    seen += len(w_local)
+                    free, tors = block.coker.project(
+                        block.kernel_coords(self.ring, w_local))
+                    coords[pos:pos + block.size] = free + tors
+                pos += block.size
+            # keys in skipped multidegrees lie in exact blocks: zero class
+            if seen != len(comp) and not (
+                    self.squarefree
+                    and all(self._is_basis_key(key) for key in comp)):
                 raise ValueError("element key outside the bidegree basis "
                                  "at %r" % (bd,))
         return CohomologyClass(self, ztotal, tuple(coords))
@@ -407,20 +420,18 @@ class TorTable:
         cls = self.reduce(z)
         if not cls.is_zero:
             raise ValueError("class is not zero; no witness exists")
-        poset = self.data.poset
-        comps = {}
-        for (S, mono), c in z.items():
-            bd = (-len(S), monomial_degree(poset, mono) + 2 * len(S))
-            comps.setdefault(bd, {})[(S, mono)] = c
+        ambient_pos = [self.data.vertex_index[v]
+                       for v in self.data.poset.vertices]
         witness = {}
-        for bd, comp in comps.items():
-            for block in self.entries[bd].blocks:
-                w_local = {}
-                for key, c in comp.items():
-                    i = block.index.get(key)
-                    if i is not None:
-                        w_local[i] = c
-                y = block.kernel_coords(self.ring, w_local)
+        for bd, comp in self._components(z).items():
+            blocks = list(self.entries[bd].blocks)
+            if self.squarefree:
+                mus = {_multidegree(self.data, self.face, ambient_pos, key)
+                       for key in comp}
+                blocks.extend(self.multidegree_block(bd, mu)
+                              for mu in sorted(mus) if any(x > 1 for x in mu))
+            for block in blocks:
+                y = block.kernel_coords(self.ring, block.local(comp))
                 if not y:
                     continue
                 u = block.image.solve(y)
@@ -434,6 +445,53 @@ class TorTable:
                     else:
                         del witness[key]
         return witness
+
+    def multidegree_block(self, bidegree, mu):
+        """The block of multidegree mu (a tuple over the ambient vertices)
+        in a bidegree, built on demand; for squarefree tables, whose
+        entries leave out the multidegrees that are not squarefree."""
+        if not self.squarefree:
+            raise ValueError("only squarefree tables build blocks on demand")
+        k, t = -bidegree[0], bidegree[1]
+        if len(mu) != len(self.data.vertices) or 2 * sum(mu) != t:
+            raise ValueError("multidegree %r does not lie in bidegree %r"
+                             % (mu, bidegree))
+        block = self._skipped.get((bidegree, mu))
+        if block is None:
+            data, ring, face = self.data, self.ring, self.face
+            poset_pos = _poset_positions(data)
+
+            def dvec(key):
+                return differential({key: ring.one()}, data, ring, face)
+
+            out = _multidegree_keys(face, poset_pos, mu, k - 1)
+            block = _Block(ring, _multidegree_keys(face, poset_pos, mu, k),
+                           {key: i for i, key in enumerate(out)},
+                           _multidegree_keys(face, poset_pos, mu, k + 1), dvec)
+            self._skipped[(bidegree, mu)] = block
+        return block
+
+    def _components(self, z):
+        """{bidegree: part of z} of a homogeneous element."""
+        poset = self.data.poset
+        comps = {}
+        for (S, mono), c in z.items():
+            bd = (-len(S), monomial_degree(poset, mono) + 2 * len(S))
+            comps.setdefault(bd, {})[(S, mono)] = c
+        return comps
+
+    def _is_basis_key(self, key):
+        """Whether (S, mono) is a Koszul basis key: S strictly increasing
+        in 1..n, mono a standard monomial (per-degree sets are cached)."""
+        S, mono = key
+        if not all(a < b for a, b in zip((0,) + S, S + (self.data.n + 1,))):
+            return False
+        d = monomial_degree(self.data.poset, mono)
+        monos = self._monomials.get(d)
+        if monos is None:
+            monos = frozenset(self.face.basis_of_degree(d))
+            self._monomials[d] = monos
+        return mono in monos
 
     def __repr__(self):
         return "<TorTable %s over %s, bound %d>" % (
@@ -452,9 +510,64 @@ def _multidegree(data, face, ambient_pos, key):
     return tuple(mu)
 
 
+def _by_multidegree(data, face, ambient_pos, keys):
+    """{multidegree: keys} in the order of keys."""
+    out = {}
+    for key in keys:
+        out.setdefault(_multidegree(data, face, ambient_pos, key),
+                       []).append(key)
+    return {mu: tuple(grp) for mu, grp in out.items()}
+
+
+def _poset_positions(data):
+    """Poset vertex position of each ambient vertex, None for ghosts."""
+    return [data.poset.vertex_pos.get(v) for v in data.vertices]
+
+
+def _multidegree_keys(face, poset_pos, mu, k):
+    """Basis keys (S, m) of multidegree mu with |S| = k, in basis order.
+    On a complex the exponent vector mu - S fixes the monomial m."""
+    if k < 0:
+        return ()
+    keys = []
+    for S in combinations([i + 1 for i, x in enumerate(mu) if x], k):
+        rest = list(mu)
+        for i in S:
+            rest[i - 1] -= 1
+        vec = [0] * len(face.poset.vertices)
+        for i, x in enumerate(rest):
+            if x:
+                if poset_pos[i] is None:  # t_v vanishes on a ghost
+                    break
+                vec[poset_pos[i]] = x
+        else:
+            mono = face.monomial_from_exponents(vec)
+            if mono is not None:
+                keys.append((S, mono))
+    return tuple(keys)
+
+
+def _squarefree_keys(face, poset_pos, n, t, ks):
+    """{k: {mu: keys}} over the squarefree multidegrees mu of internal
+    degree t: a vertex set W of size t/2, keys (S, t_sigma) with S a
+    k-subset of W and sigma the face on the rest of W."""
+    grouped = {k: {} for k in ks}
+    for w in combinations(range(n), t // 2):
+        mu = tuple(1 if i in w else 0 for i in range(n))
+        for k in ks:
+            keys = _multidegree_keys(face, poset_pos, mu, k)
+            if keys:
+                grouped[k][mu] = keys
+    return grouped
+
+
 def compute_tor(data, ring, bound=None, method="auto"):
     """Tor table of characteristic data up to a total-degree bound
-    (default: number of vertices plus the lattice rank)."""
+    (default: number of vertices plus the lattice rank).
+
+    method "blocks" (the default for identity chi) splits each bidegree
+    by multidegree and, on a simplicial complex, builds only the
+    squarefree blocks; "bidegree" solves each bidegree whole."""
     data.ensure_valid()
     if method not in ("auto", "bidegree", "blocks"):
         raise ValueError("unknown method %r" % (method,))
@@ -462,13 +575,15 @@ def compute_tor(data, ring, bound=None, method="auto"):
         raise ValueError("multidegree blocks need chi = identity")
     use_blocks = method == "blocks" or (method == "auto"
                                         and data.is_identity_chi)
+    squarefree = use_blocks and data.poset.is_complex
     if bound is None:
         bound = len(data.vertices) + data.n
     if bound < 0:
         raise ValueError("bound must be >= 0")
     face = FaceRing(data.poset)
     n = data.n
-    ambient_pos = [data.vertices.index(v) for v in data.poset.vertices]
+    ambient_pos = [data.vertex_index[v] for v in data.poset.vertices]
+    poset_pos = _poset_positions(data)
 
     memo = {}
 
@@ -485,38 +600,31 @@ def compute_tor(data, ring, bound=None, method="auto"):
         kmin = max(0, t - bound)
         if kmin > kmax:
             continue
-        bases = {k: _bidegree_basis(face, n, k, t)
-                 for k in range(kmin - 1, kmax + 2)}
-        for k in range(kmin, kmax + 1):
-            here = bases[k]
-            if not here:
-                continue
-            out_basis, incoming = bases[k - 1], bases[k + 1]
+        ks = range(kmin - 1, kmax + 2)
+        if squarefree:
+            grouped = _squarefree_keys(face, poset_pos, n, t, ks)
+        else:
+            bases = {k: _bidegree_basis(face, n, k, t) for k in ks}
             if use_blocks:
-                by_mu = {}
-                for key in here:
-                    mu = _multidegree(data, face, ambient_pos, key)
-                    by_mu.setdefault(mu, []).append(key)
-                out_by_mu = {}
-                for key in out_basis:
-                    mu = _multidegree(data, face, ambient_pos, key)
-                    grp = out_by_mu.setdefault(mu, {})
-                    grp[key] = len(grp)
-                in_by_mu = {}
-                for key in incoming:
-                    mu = _multidegree(data, face, ambient_pos, key)
-                    in_by_mu.setdefault(mu, []).append(key)
-                blocks = []
-                for mu in sorted(by_mu):
-                    blocks.append(_Block(
-                        ring, tuple(by_mu[mu]), out_by_mu.get(mu, {}),
-                        tuple(in_by_mu.get(mu, ())), dvec))
+                grouped = {k: _by_multidegree(data, face, ambient_pos,
+                                              bases[k]) for k in ks}
+        for k in range(kmin, kmax + 1):
+            if not _has_monomials(face, t - 2 * k):
+                continue  # the bidegree basis is empty
+            if use_blocks:
+                here, out, inc = grouped[k], grouped[k - 1], grouped[k + 1]
+                blocks = tuple(
+                    _Block(ring, here[mu],
+                           {key: i for i, key in enumerate(out.get(mu, ()))},
+                           inc.get(mu, ()), dvec)
+                    for mu in sorted(here))
             else:
-                out_index = {key: i for i, key in enumerate(out_basis)}
-                blocks = [_Block(ring, here, out_index, incoming, dvec)]
-            entries[(-k, t)] = TorEntry((-k, t), tuple(blocks))
+                out_index = {key: i for i, key in enumerate(bases[k - 1])}
+                blocks = (_Block(ring, bases[k], out_index, bases[k + 1],
+                                 dvec),)
+            entries[(-k, t)] = TorEntry((-k, t), blocks)
     return TorTable(data, ring, bound, "blocks" if use_blocks else "bidegree",
-                    face, entries)
+                    squarefree, face, entries)
 
 
 def reduce(z, table, total=None):

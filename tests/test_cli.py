@@ -118,6 +118,14 @@ def test_usage_errors(capsys, docs):
     assert run_cli(capsys, "tor", docs["cstar2"], "--coeffs", "gf9")[0] == 2
 
 
+def test_oversized_modulus_is_a_usage_error(capsys, docs):
+    rc, out, err = run_cli(capsys, "tor", docs["cstar2"],
+                           "--coeffs", "zmod:%d" % (2 ** 89 - 1))
+    assert rc == 2
+    assert out == ""
+    assert "too large" in err
+
+
 def test_tor_grid_frozen(capsys, docs):
     rc, out, err = run_cli(capsys, "tor", docs["cstar2"])
     assert rc == 0

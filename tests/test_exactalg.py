@@ -211,6 +211,28 @@ def test_ring_errors():
         ZZ.inverse(2)
 
 
+def test_large_prime_moduli():
+    import time
+    start = time.perf_counter()
+    big = CoefficientRing.integers_mod(2 ** 61 - 1)
+    assert time.perf_counter() - start < 1.0
+    assert big.convert(-1) == 2 ** 61 - 2
+    with pytest.raises(ValueError, match="prime"):
+        CoefficientRing.integers_mod(2 ** 61 + 1)
+    # strong pseudoprime to the bases 2, 3, 5 and 7
+    with pytest.raises(ValueError, match="prime"):
+        CoefficientRing.integers_mod(3215031751)
+    with pytest.raises(ValueError, match="too large"):
+        CoefficientRing.integers_mod(2 ** 89 - 1)
+
+
+def test_small_moduli_match_trial_division():
+    from facetor.exactalg import _is_prime
+    for p in range(-2, 3000):
+        trial = p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+        assert _is_prime(p) == trial, p
+
+
 def test_ring_equality():
     assert CoefficientRing.rationals() == QQ
     assert CoefficientRing.integers_mod(5) == F5

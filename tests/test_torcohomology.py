@@ -306,3 +306,114 @@ def test_uct_two_points_and_cp2():
     cp2 = CharacteristicData.from_fan(
         [[1, 0], [0, 1], [-1, -1]], [[0, 1], [0, 2], [1, 2]], name="cp2")
     assert uct_report(cp2, 2) == []
+
+
+# ---------------------------------------------------------------------------
+# Squarefree blocks (identity chi on a complex).
+
+F3 = CoefficientRing.integers_mod(3)
+
+
+def multidegrees_by_bidegree(table):
+    """{bidegree: set of multidegrees} of the full Koszul basis within the
+    table bound, computed from the exponent vectors of the keys."""
+    data, face = table.data, table.face
+    pos = [data.vertex_index[v] for v in data.poset.vertices]
+    out = {}
+    for d in range(table.bound + 1):
+        for S, mono in total_degree_basis(data, d, face):
+            mu = [0] * len(data.vertices)
+            for i in S:
+                mu[i - 1] += 1
+            for p, e in enumerate(face.exponent_vector(mono)):
+                mu[pos[p]] += e
+            bd = (-len(S), face.degree_of(mono) + 2 * len(S))
+            out.setdefault(bd, set()).add(tuple(mu))
+    return out
+
+
+@given(small_complex_facets(max_vertices=4), st.integers(0, 1),
+       st.sampled_from((QQ, ZZ, F3)))
+@settings(max_examples=25, deadline=None)
+def test_skipped_blocks_are_acyclic(facets_verts, ghosts, ring):
+    facets, _ = facets_verts
+    data = moment_angle(facets, ghosts=ghosts)
+    table = compute_tor(data, ring)
+    assert table.squarefree
+    for bd, mus in multidegrees_by_bidegree(table).items():
+        built = {key for block in table.entries[bd].blocks
+                 for key in block.keys}
+        for mu in mus:
+            if all(x <= 1 for x in mu):
+                continue
+            block = table.multidegree_block(bd, mu)
+            assert block.keys and not built & set(block.keys)
+            assert block.coker.free_rank == 0
+            assert not block.coker.torsion
+    general = compute_tor(data, ring, method="bidegree")
+    assert table.entries.keys() == general.entries.keys()
+    assert table.rank_table() == general.rank_table()
+    assert table.torsion_table() == general.torsion_table()
+
+
+def test_posets_build_every_multidegree():
+    from helpers import double_edge_poset
+    data = CharacteristicData.moment_angle(double_edge_poset())
+    table = compute_tor(data, ZZ)
+    assert table.method == "blocks" and not table.squarefree
+    with pytest.raises(ValueError, match="squarefree"):
+        table.multidegree_block((0, 4), (2, 0))
+    general = compute_tor(data, ZZ, method="bidegree")
+    assert table.rank_table() == general.rank_table()
+    assert table.torsion_table() == general.torsion_table()
+
+
+def test_reduce_in_skipped_multidegree():
+    data = moment_angle(cycle_facets(4))
+    for ring in (QQ, ZZ, F2):
+        table = compute_tor(data, ring)
+        w = {((1, 2), (("{1,2}", 1),)): ring.one()}
+        z = differential(w, data, ring, table.face)
+        assert set(z) == {((2,), (("{1}", 1), ("{1,2}", 1))),
+                          ((1,), (("{2}", 1), ("{1,2}", 1)))}
+        bd = (-1, 8)
+        assert not any(key in block.index for key in z
+                       for block in table.entries[bd].blocks)
+        assert table.reduce(z).is_zero
+        witness = table.coboundary_witness(z)
+        assert differential(witness, data, ring, table.face) == z
+        block = table.multidegree_block(bd, (2, 2, 0, 0))
+        assert block is table.multidegree_block(bd, (2, 2, 0, 0))
+
+
+def test_reduce_rejects_keys_outside_the_basis():
+    data = moment_angle(cycle_facets(4))
+    table = compute_tor(data, QQ)
+    assert table.squarefree
+    # d vanishes on both, but neither key is a basis key
+    repeated = {((1, 1), ()): 1}
+    assert not differential(repeated, data, QQ, table.face)
+    with pytest.raises(ValueError, match="outside the bidegree basis"):
+        table.reduce(repeated)
+    unordered = {((), (("{1,2}", 1), ("{1}", 1))): 1}
+    with pytest.raises(ValueError, match="outside the bidegree basis"):
+        table.reduce(unordered)
+    with pytest.raises(ValueError, match="does not lie"):
+        table.multidegree_block((-1, 8), (2, 1, 0, 0))
+
+
+def test_integer_classes_reject_fractions():
+    table = compute_tor(moment_angle(rp2_facets()), ZZ, bound=9)
+    (index,) = range(table.entries[(-3, 12)].size)
+    cls = table.generator_class((-3, 12), index)
+    with pytest.raises(ValueError, match="integer"):
+        cls.scale(Fraction(1, 2))
+    with pytest.raises(ValueError, match="integer"):
+        table.zero_class(9).scale(Fraction(1, 2))
+    assert cls.scale(Fraction(3)) == cls
+    assert cls.scale(2).is_zero
+    with pytest.raises(ValueError, match="integer"):
+        type(cls)(table, cls.total, (Fraction(1, 2),) * len(cls.coords))
+    mod3 = compute_tor(cstar2_data(), F3)
+    g = mod3.generator_class((-1, 2), 0)
+    assert g.scale(Fraction(1, 2)) == g.scale(2)
