@@ -18,7 +18,8 @@ from .facering import format_element
 from .koszul import compute_q
 from .torcohomology import compute_tor, format_class, generator_name, \
     product_table
-from .toricmorphism import hat_q, hat_tor_phi, omega, tor_phi
+from .toricmorphism import hat_q, hat_tor_phi, omega, product_failures, \
+    tor_phi
 
 
 def _coeffs(text):
@@ -312,25 +313,11 @@ def cmd_omega(args):
     data = _checked_data(args.data)
     table = compute_tor(data, args.coeffs, bound=args.max_total_degree)
     straighten = omega(data, table)
-    gens = table.generator_list()
-    images = [(g.gid, straighten.apply(
-        table.generator_class(g.bidegree, g.index))) for g in gens]
-
-    twisted = product_table(table, compute_q(data))
-    plain = product_table(table, None)
-    classes = {g.gid: table.generator_class(g.bidegree, g.index) for g in gens}
-    failures = []
-    pairs = 0
-    for g1 in gens:
-        for g2 in gens:
-            if g1.total + g2.total > table.bound:
-                continue
-            pairs += 1
-            lhs = straighten.apply(twisted.product(g1.gid, g2.gid))
-            rhs = plain.multiply_classes(straighten.apply(classes[g1.gid]),
-                                         straighten.apply(classes[g2.gid]))
-            if lhs != rhs:
-                failures.append((g1.gid, g2.gid))
+    images = [(g.gid, straighten.images[g.gid])
+              for g in table.generator_list()]
+    failures, pairs = product_failures(
+        straighten, product_table(table, compute_q(data)),
+        product_table(table, None))
 
     if args.format == "structured":
         doc = {"document": "omega",

@@ -5,6 +5,16 @@ Everything is exact: rationals are Fraction, integer arithmetic stays in int,
 and Z/p values are reduced into range(p) after every operation.  The Smith
 normal form tracks the row and column transforms together with their
 inverses, which is what the cohomology reducers downstream consume.
+
+Inside the Smith kernel a rational entry whose denominator is 1 is held as
+an int, normalised on every write, so that integral work (the usual case:
+Koszul differentials have integer entries and most pivots are units) runs
+in int arithmetic; the diagonal and the transforms are turned back into
+Fractions before they are returned.  The pivot search caches the least key
+(|a|, Markowitz product, i, j) of every active row and refreshes only the
+rows that an elementary operation touched, or that meet a column whose
+length or position it changed, so the pivot sequence is that of a full
+scan of the active submatrix.
 """
 
 from __future__ import annotations
@@ -409,25 +419,40 @@ class _SnfState:
     The worked copy satisfies current = U0 @ A @ V0 throughout, where U0, V0
     are the accumulated transforms.  U and Vinv are kept row-major, Uinv and
     V column-major, so every elementary operation touches one slot of each.
+
+    Over QQ an entry with denominator 1 is held as an int (_smith turns
+    everything back into Fractions).  Each operation marks the rows and
+    columns whose values, index or length it changed as dirty; best maps
+    every active row to its least pivot key, refreshed by _find_pivot.
     """
 
     __slots__ = ("ring", "mod", "rows", "cols",
-                 "u_rows", "uinv_cols", "v_cols", "vinv_rows")
+                 "u_rows", "uinv_cols", "v_cols", "vinv_rows",
+                 "best", "dirty_rows", "dirty_cols")
 
     def __init__(self, matrix, want):
         self.ring = matrix.ring
         self.mod = matrix.ring.modulus
-        self.rows = {i: dict(row) for i, row in matrix.rows.items()}
+        if self.ring.kind == "QQ":
+            self.rows = {i: {j: _integral(v) for j, v in row.items()}
+                         for i, row in matrix.rows.items()}
+        else:
+            self.rows = {i: dict(row) for i, row in matrix.rows.items()}
         self.cols = {}
         for i, row in self.rows.items():
             for j, v in row.items():
                 self.cols.setdefault(j, {})[i] = v
-        one = self.ring.one()
         m, n = matrix.nrows, matrix.ncols
-        self.u_rows = [{i: one} for i in range(m)] if "U" in want else None
-        self.uinv_cols = [{i: one} for i in range(m)] if "Uinv" in want else None
-        self.v_cols = [{j: one} for j in range(n)] if "V" in want else None
-        self.vinv_rows = [{j: one} for j in range(n)] if "Vinv" in want else None
+        self.u_rows = [{i: 1} for i in range(m)] if "U" in want else None
+        self.uinv_cols = [{i: 1} for i in range(m)] if "Uinv" in want else None
+        self.v_cols = [{j: 1} for j in range(n)] if "V" in want else None
+        self.vinv_rows = [{j: 1} for j in range(n)] if "Vinv" in want else None
+        self.best = {}
+        self.dirty_rows = set(self.rows)
+        self.dirty_cols = set()
+
+    def inverse(self, u):
+        return _integral(self.ring.inverse(u))
 
     # Elementary row operations.  current' = E @ current means U' = E @ U
     # (same row op) and Uinv' = Uinv @ E^-1 (inverse column op).
@@ -448,6 +473,7 @@ class _SnfState:
                 cj[i1] = v2
             if v1 is not None:
                 cj[i2] = v1
+        self.dirty_rows.update((i1, i2))
         u = self.u_rows
         if u is not None:
             u[i1], u[i2] = u[i2], u[i1]
@@ -458,6 +484,7 @@ class _SnfState:
     def row_axpy(self, i, k, c):
         """row_i += c * row_k (i != k)."""
         rows, cols, mod = self.rows, self.cols, self.mod
+        dirty_cols = self.dirty_cols
         ri = rows.get(i)
         if ri is None:
             ri = rows[i] = {}
@@ -465,21 +492,27 @@ class _SnfState:
             w = ri.get(j, 0) + c * v
             if mod:
                 w %= mod
+            elif w.__class__ is Fraction and w.denominator == 1:
+                w = w.numerator
             cj = cols[j]
             if w:
+                if j not in ri:
+                    dirty_cols.add(j)
                 ri[j] = w
                 cj[i] = w
             else:
+                dirty_cols.add(j)
                 ri.pop(j, None)
                 cj.pop(i, None)
                 if not cj:
                     del cols[j]
         if not ri:
             del rows[i]
+        self.dirty_rows.add(i)
         if self.u_rows is not None:
-            add_scaled(self.u_rows[i], c, self.u_rows[k], mod)
+            _axpy(self.u_rows[i], c, self.u_rows[k], mod)
         if self.uinv_cols is not None:
-            add_scaled(self.uinv_cols[k], -c, self.uinv_cols[i], mod)
+            _axpy(self.uinv_cols[k], -c, self.uinv_cols[i], mod)
 
     def row_scale(self, i, u):
         """row_i *= u for a unit u."""
@@ -489,12 +522,15 @@ class _SnfState:
             w = u * ri[j]
             if mod:
                 w %= mod
+            elif w.__class__ is Fraction and w.denominator == 1:
+                w = w.numerator
             ri[j] = w
             cols[j][i] = w
+        self.dirty_rows.add(i)
         if self.u_rows is not None:
-            self.u_rows[i] = scaled(u, self.u_rows[i], mod)
+            self.u_rows[i] = _scaled(u, self.u_rows[i], mod)
         if self.uinv_cols is not None:
-            self.uinv_cols[i] = scaled(self.ring.inverse(u), self.uinv_cols[i], mod)
+            self.uinv_cols[i] = _scaled(self.inverse(u), self.uinv_cols[i], mod)
 
     # Column operations.  current' = current @ F means V' = V @ F and
     # Vinv' = F^-1 @ Vinv (inverse row op).
@@ -515,6 +551,7 @@ class _SnfState:
                 ri[j1] = v2
             if v1 is not None:
                 ri[j2] = v1
+        self.dirty_cols.update((j1, j2))
         v = self.v_cols
         if v is not None:
             v[j1], v[j2] = v[j2], v[j1]
@@ -525,6 +562,7 @@ class _SnfState:
     def col_axpy(self, j, k, c):
         """col_j += c * col_k (j != k)."""
         rows, cols, mod = self.rows, self.cols, self.mod
+        dirty_rows = self.dirty_rows
         cj = cols.get(j)
         if cj is None:
             cj = cols[j] = {}
@@ -532,21 +570,26 @@ class _SnfState:
             w = cj.get(i, 0) + c * v
             if mod:
                 w %= mod
+            elif w.__class__ is Fraction and w.denominator == 1:
+                w = w.numerator
             ri = rows[i]
             if w:
                 cj[i] = w
                 ri[j] = w
             else:
+                # row i leaves column j, so refreshing j will not reach it
+                dirty_rows.add(i)
                 cj.pop(i, None)
                 ri.pop(j, None)
                 if not ri:
                     del rows[i]
         if not cj:
             del cols[j]
+        self.dirty_cols.add(j)
         if self.v_cols is not None:
-            add_scaled(self.v_cols[j], c, self.v_cols[k], mod)
+            _axpy(self.v_cols[j], c, self.v_cols[k], mod)
         if self.vinv_rows is not None:
-            add_scaled(self.vinv_rows[k], -c, self.vinv_rows[j], mod)
+            _axpy(self.vinv_rows[k], -c, self.vinv_rows[j], mod)
 
     def col_scale(self, j, u):
         rows, cols, mod = self.rows, self.cols, self.mod
@@ -555,31 +598,72 @@ class _SnfState:
             w = u * cj[i]
             if mod:
                 w %= mod
+            elif w.__class__ is Fraction and w.denominator == 1:
+                w = w.numerator
             cj[i] = w
             rows[i][j] = w
+        self.dirty_cols.add(j)
         if self.v_cols is not None:
-            self.v_cols[j] = scaled(u, self.v_cols[j], mod)
+            self.v_cols[j] = _scaled(u, self.v_cols[j], mod)
         if self.vinv_rows is not None:
-            self.vinv_rows[j] = scaled(self.ring.inverse(u), self.vinv_rows[j], mod)
+            self.vinv_rows[j] = _scaled(self.inverse(u), self.vinv_rows[j], mod)
+
+
+def _integral(x):
+    """A Fraction with denominator 1 as an int; anything else unchanged."""
+    if x.__class__ is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _axpy(dst, c, src, mod):
+    """add_scaled for transform slots, keeping integral rationals as ints."""
+    for k, v in src.items():
+        w = dst.get(k, 0) + c * v
+        if mod:
+            w %= mod
+        elif w.__class__ is Fraction and w.denominator == 1:
+            w = w.numerator
+        if w:
+            dst[k] = w
+        else:
+            dst.pop(k, None)
+
+
+def _scaled(c, src, mod):
+    """scaled for transform slots, keeping integral rationals as ints."""
+    if mod:
+        return scaled(c, src, mod)
+    return {k: _integral(c * v) for k, v in src.items()}
 
 
 def _find_pivot(state, t):
     """Deterministic pivot in the submatrix [t:, t:]: minimal absolute
-    value, then least Markowitz fill, then row-major position."""
-    best = None
-    best_key = None
-    cols = state.cols
-    for i in sorted(state.rows):
-        if i < t:
+    value, then least Markowitz fill, then row-major position.
+
+    Refreshes the cached least key of every row that is dirty or meets a
+    dirty column; rows below t have been eliminated and leave the cache.
+    Called with t = 0, 1, 2, ... on one state."""
+    rows, cols, best = state.rows, state.cols, state.best
+    todo = state.dirty_rows
+    for j in state.dirty_cols:
+        cj = cols.get(j)
+        if cj:
+            todo.update(cj)
+    for i in todo:
+        row = rows.get(i)
+        if row is None or i < t:
+            best.pop(i, None)
             continue
-        row = state.rows[i]
         rfill = len(row) - 1
-        for j in sorted(row):
-            key = (abs(row[j]), rfill * (len(cols[j]) - 1), i, j)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (i, j)
-    return best
+        best[i] = min((abs(v), rfill * (len(cols[j]) - 1), i, j)
+                      for j, v in row.items())
+    todo.clear()
+    state.dirty_cols.clear()
+    best.pop(t - 1, None)
+    if not best:
+        return None
+    return min(best.values())[2:]
 
 
 def _clear_cross_integer(state, t):
@@ -626,9 +710,8 @@ def _eliminate_at(state, t):
     state.col_swap(t, piv[1])
     if state.ring.is_field:
         p = state.rows[t][t]
-        one = state.ring.one()
-        if p != one:
-            state.row_scale(t, state.ring.inverse(p))
+        if p != 1:
+            state.row_scale(t, state.inverse(p))
         for i in sorted(i for i in state.cols[t] if i != t):
             state.row_axpy(i, t, state.ring.neg(state.cols[t][i]))
         for j in sorted(j for j in state.rows.get(t, {}) if j != t):
@@ -671,6 +754,12 @@ def _smith(matrix, want):
     diagonal = [state.rows[t][t] for t in range(r)]
     m, n = matrix.nrows, matrix.ncols
     ring = matrix.ring
+    if ring.kind == "QQ":
+        diagonal = [Fraction(d) for d in diagonal]
+        for slots in (state.u_rows, state.uinv_cols, state.v_cols,
+                      state.vinv_rows):
+            if slots is not None:
+                _fractions_in_place(slots)
 
     def rows_to_matrix(row_dicts, size):
         out = ExactMatrix(size, size, ring)
@@ -691,6 +780,19 @@ def _smith(matrix, want):
     V = cols_to_matrix(state.v_cols, n) if state.v_cols is not None else None
     Vinv = rows_to_matrix(state.vinv_rows, n) if state.vinv_rows is not None else None
     return SmithForm(m, n, ring, diagonal, U, Uinv, V, Vinv)
+
+
+def _fractions_in_place(slots):
+    """Turn the int entries of QQ transform slots back into Fractions;
+    equal values share one Fraction."""
+    cache = {}
+    for slot in slots:
+        for k, v in slot.items():
+            if v.__class__ is int:
+                f = cache.get(v)
+                if f is None:
+                    f = cache[v] = Fraction(v)
+                slot[k] = f
 
 
 class CokernelStructure:

@@ -24,7 +24,9 @@ cohomology of full subcomplexes, and uct_report cross-checks the mod-p
 tables against the rational and integral ones.
 """
 
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .exactalg import CoefficientRing, ExactMatrix
 from .facering import FaceRing
@@ -67,15 +69,17 @@ def _row_dot(ring, row, vec):
 
 
 def _canonical_invariants(invs):
-    """Invariant factors of a direct sum of cyclic groups Z/d."""
-    invs = [d for d in invs if d not in (0, 1)]
-    if len(invs) <= 1:
-        return tuple(invs)
-    mat = ExactMatrix(len(invs), len(invs), _ZZ)
-    for i, d in enumerate(sorted(invs)):
-        mat.set(i, i, d)
-    diag = mat.smith_normal_form(want=()).diagonal
-    return tuple(d for d in diag if d != 1)
+    """Invariant factors of a direct sum of cyclic groups Z/d.
+
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b); after pairing d_i with every
+    later d_j, d_i divides all of them, so one pass gives the chain."""
+    invs = sorted(d for d in invs if d not in (0, 1))
+    for i in range(len(invs)):
+        for j in range(i + 1, len(invs)):
+            a, b = invs[i], invs[j]
+            g = gcd(a, b)
+            invs[i], invs[j] = g, a // g * b
+    return tuple(d for d in invs if d != 1)
 
 
 class _Block:
@@ -83,9 +87,10 @@ class _Block:
     the cokernel of the incoming image in kernel coordinates."""
 
     __slots__ = ("keys", "index", "kernel_rows", "kernel_cols", "coker",
-                 "incoming", "image")
+                 "incoming", "image", "modulus")
 
     def __init__(self, ring, keys, out_index, incoming, dvec):
+        self.modulus = ring.modulus
         self.keys = keys
         self.index = {key: i for i, key in enumerate(keys)}
         cols = []
@@ -116,10 +121,13 @@ class _Block:
 
     def element_of(self, y):
         """Kernel-coordinate vector -> element dict over this block's keys."""
+        mod = self.modulus
         out = {}
         for i, c in y.items():
             for pos, v in self.kernel_cols[i].items():
                 w = out.get(pos, 0) + c * v
+                if mod:
+                    w %= mod
                 if w:
                     out[pos] = w
                 else:
@@ -194,9 +202,15 @@ class CohomologyClass:
         self.coords = tuple(self._canon(c, m) for c, m in zip(coords, moduli))
 
     def _canon(self, c, m):
+        """c as a coefficient of the table's ring, reduced mod m when m is
+        nonzero.  Only ints and Fractions are exact; over ZZ a value that
+        is not integral raises ValueError, over QQ a value is kept as is."""
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError("coefficient %r is not an int or a Fraction"
+                            % (c,))
         ring = self.table.ring
         if ring.kind != "QQ":
-            c = ring.convert(c)  # over ZZ, ValueError unless c is integral
+            c = ring.convert(c)
         return c % m if m else c
 
     def _zip(self, other, op):
@@ -215,8 +229,7 @@ class CohomologyClass:
         return self.scale(-1)
 
     def scale(self, c):
-        if self.table.ring.kind != "QQ":
-            c = self.table.ring.convert(c)
+        c = self._canon(c, 0)
         return CohomologyClass(self.table, self.total,
                                tuple(c * a for a in self.coords))
 
@@ -422,6 +435,7 @@ class TorTable:
             raise ValueError("class is not zero; no witness exists")
         ambient_pos = [self.data.vertex_index[v]
                        for v in self.data.poset.vertices]
+        mod = self.ring.modulus
         witness = {}
         for bd, comp in self._components(z).items():
             blocks = list(self.entries[bd].blocks)
@@ -440,6 +454,8 @@ class TorTable:
                 for j, c in u.items():
                     key = block.incoming[j]
                     w = witness.get(key, 0) + c
+                    if mod:
+                        w %= mod
                     if w:
                         witness[key] = w
                     else:

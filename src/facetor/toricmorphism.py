@@ -413,6 +413,31 @@ class InducedMap:
                                                    len(self.images))
 
 
+def product_failures(induced, domain_products, codomain_products):
+    """Where an induced map fails to respect products.
+
+    Compares f(g1 * g2) with f(g1) * f(g2) for every ordered pair of
+    domain generators whose total degree fits the domain bound, products
+    taken in domain_products and codomain_products.  Returns the failing
+    pairs of generator ids and the number of pairs compared."""
+    table = induced.domain
+    images = induced.images
+    gens = table.generator_list()
+    failures = []
+    pairs = 0
+    for g1 in gens:
+        for g2 in gens:
+            if g1.total + g2.total > table.bound:
+                continue
+            pairs += 1
+            lhs = induced.apply(domain_products.product(g1.gid, g2.gid))
+            rhs = codomain_products.multiply_classes(images[g1.gid],
+                                                     images[g2.gid])
+            if lhs != rhs:
+                failures.append((g1.gid, g2.gid))
+    return failures, pairs
+
+
 def _induced(phi, target_table, source_table, chain, label):
     if target_table.ring != source_table.ring:
         raise ValueError("tables use different rings")

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -5,6 +6,8 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import facetor.exactalg as exactalg
+from facetor.documents import parse_data_document
 from facetor.exactalg import (
     CoefficientRing,
     ExactMatrix,
@@ -13,9 +16,11 @@ from facetor.exactalg import (
     convert_vector,
     scaled,
 )
+from facetor.torcohomology import compute_tor
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
+F3 = CoefficientRing.integers_mod(3)
 F5 = CoefficientRing.integers_mod(5)
 
 
@@ -516,3 +521,104 @@ def test_prepared_solver_mod_p():
     b = A.mul_vec({0: 3, 1: 4})
     x = ps.solve(b)
     assert A.mul_vec(x) == b
+
+
+# ---------------------------------------------------------------------------
+# Pivot search: the cached search must pick what a full scan picks.
+
+def full_scan_pivot(state, t):
+    """Reference pivot: scan every entry of the submatrix [t:, t:] for the
+    least (|a|, Markowitz product, i, j)."""
+    best = None
+    best_key = None
+    cols = state.cols
+    for i in sorted(state.rows):
+        if i < t:
+            continue
+        row = state.rows[i]
+        rfill = len(row) - 1
+        for j in sorted(row):
+            if j < t:
+                continue
+            key = (abs(row[j]), rfill * (len(cols[j]) - 1), i, j)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (i, j)
+    return best
+
+
+@contextlib.contextmanager
+def checked_pivots():
+    """Within the block every pivot pick must equal the full scan; yields
+    the list of picks."""
+    real = exactalg._find_pivot
+    picks = []
+
+    def checked(state, t):
+        want = full_scan_pivot(state, t)
+        got = real(state, t)
+        assert got == want, (t, got, want)
+        picks.append(got)
+        return got
+
+    exactalg._find_pivot = checked
+    try:
+        yield picks
+    finally:
+        exactalg._find_pivot = real
+
+
+@st.composite
+def sparse_matrix(draw):
+    ring = draw(st.sampled_from((QQ, ZZ, F3)))
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    if ring is QQ:
+        value = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    else:
+        value = st.integers(-4, 4)
+    entries = draw(st.dictionaries(
+        st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), value,
+        max_size=m * n))
+    A = ExactMatrix(m, n, ring)
+    for (i, j), v in entries.items():
+        A.set(i, j, v)
+    return A
+
+
+@given(sparse_matrix())
+@settings(max_examples=200, deadline=None)
+def test_cached_pivots_match_full_scan(A):
+    with checked_pivots() as picks:
+        sf = A.smith_normal_form()
+    assert_snf_valid(A, sf)
+    assert picks[-1] is None and len(picks) == sf.rank + 1
+    if A.ring == QQ:
+        values = list(sf.diagonal)
+        for M in (sf.U, sf.Uinv, sf.V, sf.Vinv):
+            values.extend(v for row in M.rows.values() for v in row.values())
+        assert all(type(v) is Fraction for v in values)
+
+
+# A partial quotient of the kind the quotient-cli benchmark draws: six
+# vertices in a rank-4 lattice, one large Smith form per bidegree.
+QUOTIENT = {
+    "name": "quotient", "lattice_rank": 4,
+    "vertices": [{"id": "x1", "chi": [1, 0, 0, 0]},
+                 {"id": "x2", "chi": [0, 1, -1, 0]},
+                 {"id": "x3", "chi": [0, 0, 0, -1]},
+                 {"id": "x4", "chi": [-1, 1, 0, -1]},
+                 {"id": "x5", "chi": [0, 0, -1, 0]},
+                 {"id": "x6", "chi": [0, 0, -1, 0]}],
+    "facets": [["x1", "x2", "x4", "x6"], ["x1", "x2", "x6"], ["x1", "x5"],
+               ["x1", "x5"], ["x2", "x3", "x5"], ["x2", "x3"],
+               ["x1", "x3", "x4"]],
+}
+
+
+def test_cached_pivots_match_full_scan_on_a_quotient():
+    data = parse_data_document(QUOTIENT)
+    with checked_pivots() as picks:
+        table = compute_tor(data, QQ)
+    assert len(table.entries) == 24
+    assert len(picks) > 1000

@@ -3,14 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from facetor.exactalg import CoefficientRing
+from facetor.exactalg import CoefficientRing, ExactMatrix
 from facetor.facering import FaceRing
 from facetor.koszul import (TwistData, compute_q, differential, star_product,
                             total_degree_basis, wedge_product)
 from facetor.simplicial import CharacteristicData, SimplicialPoset
-from facetor.torcohomology import (compare_products, compute_tor,
-                                   hochster_oracle, product_table, reduce,
-                                   uct_report)
+from facetor.torcohomology import (_canonical_invariants, compare_products,
+                                   compute_tor, hochster_oracle,
+                                   product_table, reduce, uct_report)
 
 from helpers import (cstar2_data, cycle_facets, rp2_facets,
                      small_characteristic_data,
@@ -417,3 +417,57 @@ def test_integer_classes_reject_fractions():
     mod3 = compute_tor(cstar2_data(), F3)
     g = mod3.generator_class((-1, 2), 0)
     assert g.scale(Fraction(1, 2)) == g.scale(2)
+
+
+def test_classes_reject_floats():
+    for ring in (QQ, ZZ, F3):
+        table = compute_tor(cstar2_data(), ring)
+        g = table.generator_class((-1, 2), 0)
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            g.scale(0.5)
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            type(g)(table, g.total, (0.5, 0))
+        if ring == QQ:
+            assert g.scale(Fraction(1, 2)).coords == (Fraction(1, 2), 0)
+            assert g.scale(3).coords == (3, 0)
+        if ring == F3:
+            assert g.scale(Fraction(1, 2)).coords == (2, 0)
+
+
+def smith_invariants(invs):
+    """Reference: the invariant factors as the Smith form of diag(d_i)."""
+    invs = [d for d in invs if d not in (0, 1)]
+    if len(invs) <= 1:
+        return tuple(invs)
+    mat = ExactMatrix(len(invs), len(invs), ZZ)
+    for i, d in enumerate(sorted(invs)):
+        mat.set(i, i, d)
+    return tuple(d for d in mat.smith_normal_form(want=()).diagonal
+                 if d != 1)
+
+
+@given(st.lists(st.integers(0, 72), max_size=7))
+@settings(max_examples=200, deadline=None)
+def test_canonical_invariants_match_smith_on_diagonal(invs):
+    assert _canonical_invariants(invs) == smith_invariants(invs)
+
+
+def test_mod_p_representatives_and_witnesses_are_reduced():
+    for p in (3, 5):
+        ring = CoefficientRing.integers_mod(p)
+        for data in (cstar2_data(), moment_angle(cycle_facets(4), ghosts=1)):
+            table = compute_tor(data, ring)
+            coeffs = [c for entry in table.entries.values()
+                      for element, _ in entry.generators
+                      for c in element.values()]
+            assert coeffs and all(c in range(p) for c in coeffs)
+            face = table.face
+            for d in range(table.bound):
+                basis = total_degree_basis(data, d, face)
+                w = {key: k % (p - 1) + 1 for k, key in enumerate(basis)}
+                z = differential(w, data, ring, face)
+                if not z:
+                    continue
+                witness = table.coboundary_witness(z)
+                assert all(c in range(p) for c in witness.values())
+                assert differential(witness, data, ring, face) == z

@@ -11,8 +11,8 @@ from facetor.torcohomology import compute_tor, product_table
 from facetor.toricmorphism import (Lift, ToricMorphism, cox_projection,
                                    cross_element, diagonal_morphism, hat_q,
                                    hat_tor_phi, hat_xi, ideal_I_sigma, lift,
-                                   omega, power_morphism, tor_phi,
-                                   validate_morphism, xi)
+                                   omega, power_morphism, product_failures,
+                                   tor_phi, validate_morphism, xi)
 
 from helpers import (basis_change_source, cstar2_data, cycle_facets,
                      small_characteristic_data, two_points_classes)
@@ -269,6 +269,21 @@ def test_basis_change_induced_maps():
                 continue
             assert hat.apply(pt.multiply_classes(x, y)) == \
                 ps.multiply_classes(hat.apply(x), hat.apply(y))
+
+
+def test_product_failures_tell_the_maps_apart():
+    phi = basis_change()
+    ttab = compute_tor(phi.target, ZZ)
+    stab = compute_tor(phi.source, ZZ)
+    pt = product_table(ttab, compute_q(phi.target))
+    ps = product_table(stab, compute_q(phi.source))
+    totals = [g.total for g in ttab.generator_list()]
+    pairs = sum(1 for a in totals for b in totals if a + b <= ttab.bound)
+    hat = hat_tor_phi(phi, ttab, stab)
+    assert product_failures(hat, pt, ps) == ([], pairs)
+    failures, n = product_failures(tor_phi(phi, ttab, stab), pt, ps)
+    assert n == pairs
+    assert (((-1, 2), 0), ((-1, 2), 1)) in failures
 
 
 def test_power_induced_maps():
