@@ -16,8 +16,8 @@ from .examples import example_names, run_example
 from .exactalg import CoefficientRing
 from .facering import format_element
 from .koszul import compute_q
-from .torcohomology import compute_tor, format_class, generator_name, \
-    product_table
+from .torcohomology import compare_products, compute_tor, format_class, \
+    generator_name, product_table
 from .toricmorphism import hat_q, hat_tor_phi, omega, product_failures, \
     tor_phi
 
@@ -190,19 +190,10 @@ def cmd_mult(args):
     table = compute_tor(data, args.coeffs, bound=args.max_total_degree)
     twist = compute_q(data)
     if args.variant == "compare":
-        twisted = product_table(table, twist)
-        plain = product_table(table, None)
-        rows = []
-        seen = set()
-        for g1, g2 in _pairs(table):
-            key = tuple(sorted((g1.gid, g2.gid)))
-            if key in seen:
-                continue
-            seen.add(key)
-            a = twisted.product(g1.gid, g2.gid)
-            b = plain.product(g1.gid, g2.gid)
-            if a != b:
-                rows.append((g1.gid, g2.gid, a, b))
+        # each unordered pair once, in the order the product loops meet it
+        pos = {g.gid: i for i, g in enumerate(table.generator_list())}
+        rows = [d for d in compare_products(table, twist).differences
+                if pos[d[0]] <= pos[d[1]]]
         if args.format == "structured":
             doc = {"document": "product-comparison",
                    "name": data.name,

@@ -3,8 +3,10 @@
 Vectors are dicts {index: nonzero scalar}; matrices are dicts of row dicts.
 Everything is exact: rationals are Fraction, integer arithmetic stays in int,
 and Z/p values are reduced into range(p) after every operation.  The Smith
-normal form tracks the row and column transforms together with their
-inverses, which is what the cohomology reducers downstream consume.
+normal form is the one elimination kernel: it tracks the row and column
+transforms together with their inverses, which is what the cohomology
+reducers downstream consume, and PreparedSolver, rank, kernels, cokernels
+and solve are all built on it.
 
 Inside the Smith kernel a rational entry whose denominator is 1 is held as
 an int, normalised on every write, so that integral work (the usual case:
@@ -158,43 +160,6 @@ class CoefficientRing:
         if self.kind == "Zmod":
             return "Z/%d" % self.modulus
         return self.kind
-
-
-def add_scaled(dst, c, src, modulus=None):
-    """dst += c * src for sparse dict vectors, in place; drops zeros."""
-    for k, v in src.items():
-        w = dst.get(k, 0) + c * v
-        if modulus:
-            w %= modulus
-        if w:
-            dst[k] = w
-        else:
-            dst.pop(k, None)
-    return dst
-
-
-def scaled(c, src, modulus=None):
-    """c * src as a fresh sparse dict vector."""
-    if not c:
-        return {}
-    if modulus:
-        out = {}
-        for k, v in src.items():
-            w = c * v % modulus
-            if w:
-                out[k] = w
-        return out
-    return {k: c * v for k, v in src.items()}
-
-
-def convert_vector(v, ring):
-    """Coerce every entry of a sparse vector into ring, dropping zeros."""
-    out = {}
-    for k, x in v.items():
-        w = ring.convert(x)
-        if w:
-            out[k] = w
-    return out
 
 
 class ExactMatrix:
@@ -591,23 +556,6 @@ class _SnfState:
         if self.vinv_rows is not None:
             _axpy(self.vinv_rows[k], -c, self.vinv_rows[j], mod)
 
-    def col_scale(self, j, u):
-        rows, cols, mod = self.rows, self.cols, self.mod
-        cj = cols.get(j, {})
-        for i in list(cj):
-            w = u * cj[i]
-            if mod:
-                w %= mod
-            elif w.__class__ is Fraction and w.denominator == 1:
-                w = w.numerator
-            cj[i] = w
-            rows[i][j] = w
-        self.dirty_cols.add(j)
-        if self.v_cols is not None:
-            self.v_cols[j] = _scaled(u, self.v_cols[j], mod)
-        if self.vinv_rows is not None:
-            self.vinv_rows[j] = _scaled(self.inverse(u), self.vinv_rows[j], mod)
-
 
 def _integral(x):
     """A Fraction with denominator 1 as an int; anything else unchanged."""
@@ -617,7 +565,8 @@ def _integral(x):
 
 
 def _axpy(dst, c, src, mod):
-    """add_scaled for transform slots, keeping integral rationals as ints."""
+    """dst += c * src for transform slots, in place; drops zeros and keeps
+    integral rationals as ints."""
     for k, v in src.items():
         w = dst.get(k, 0) + c * v
         if mod:
@@ -631,9 +580,14 @@ def _axpy(dst, c, src, mod):
 
 
 def _scaled(c, src, mod):
-    """scaled for transform slots, keeping integral rationals as ints."""
+    """c * src for transform slots, keeping integral rationals as ints."""
     if mod:
-        return scaled(c, src, mod)
+        out = {}
+        for k, v in src.items():
+            w = c * v % mod
+            if w:
+                out[k] = w
+        return out
     return {k: _integral(c * v) for k, v in src.items()}
 
 
@@ -833,79 +787,39 @@ class CokernelStructure:
 
 
 class PreparedSolver:
-    """Cached row reduction of a fixed field matrix, for repeated solves.
+    """A fixed field matrix prepared for repeated solves.
 
-    solve(b) returns the solution supported on pivot columns (free columns
-    pinned to zero), or None when the system is inconsistent.
+    One Smith form U @ A @ V == S (S has r ones on its diagonal) gives the
+    solution matrix V[:, :r] @ U[:r, :] and the consistency rows U[r:, :].
+    solve(b) returns that matrix times b, or None when the consistency rows
+    do not annihilate b.  With full column rank the solution is unique.
     """
 
-    __slots__ = ("nrows", "ncols", "ring", "pivots", "_T")
+    __slots__ = ("nrows", "ncols", "rank", "_solution", "_consistency")
 
     def __init__(self, matrix):
         if not matrix.ring.is_field:
             raise ValueError("PreparedSolver requires a field")
         self.nrows = m = matrix.nrows
-        self.ncols = n = matrix.ncols
-        self.ring = ring = matrix.ring
-        mod = ring.modulus
-        R = [dict(matrix.rows.get(i, {})) for i in range(m)]
-        T = [{i: ring.one()} for i in range(m)]
-        pivots = []
-        rpos = 0
-        for j in range(n):
-            piv = None
-            for i in range(rpos, m):
-                if j in R[i]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            R[rpos], R[piv] = R[piv], R[rpos]
-            T[rpos], T[piv] = T[piv], T[rpos]
-            inv = ring.inverse(R[rpos][j])
-            if inv != ring.one():
-                R[rpos] = scaled(inv, R[rpos], mod)
-                T[rpos] = scaled(inv, T[rpos], mod)
-            for i in range(m):
-                if i != rpos and j in R[i]:
-                    c = -R[i][j]
-                    add_scaled(R[i], c, R[rpos], mod)
-                    add_scaled(T[i], c, T[rpos], mod)
-            pivots.append((rpos, j))
-            rpos += 1
-        self.pivots = pivots
-        self._T = T
+        self.ncols = matrix.ncols
+        sf = matrix.smith_normal_form(want=("U", "V"))
+        self.rank = r = sf.rank
+        # Over a field S^T is the pseudo-inverse of S, so V @ S^T @ U is
+        # V[:, :r] @ U[:r, :].
+        self._solution = sf.V @ sf.matrix().transpose() @ sf.U
+        self._consistency = ExactMatrix(m - r, m, matrix.ring)
+        self._consistency.rows = {i - r: row for i, row in sf.U.rows.items()
+                                  if i >= r}
 
     @property
     def full_column_rank(self):
-        return len(self.pivots) == self.ncols
+        return self.rank == self.ncols
 
     def solve(self, b):
-        """One x with A x = b (free columns zero), or None if inconsistent."""
+        """One x with A x = b, or None if inconsistent."""
         for i in b:
             if not (0 <= i < self.nrows):
                 raise ValueError("row index %r out of range" % (i,))
-        mod = self.ring.modulus
-        rank = len(self.pivots)
-        x = {}
-        for r, j in self.pivots:
-            trow = self._T[r]
-            common = trow.keys() & b.keys()
-            if not common:
-                continue
-            s = sum(trow[k] * b[k] for k in common)
-            if mod:
-                s %= mod
-            if s:
-                x[j] = s
-        for i in range(rank, self.nrows):
-            trow = self._T[i]
-            common = trow.keys() & b.keys()
-            if not common:
-                continue
-            s = sum(trow[k] * b[k] for k in common)
-            if mod:
-                s %= mod
-            if s:
-                return None
-        return x
+        if self._consistency.mul_vec(b):
+            return None
+        return self._solution.mul_vec(b)

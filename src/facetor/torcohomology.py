@@ -204,13 +204,11 @@ class CohomologyClass:
     def _canon(self, c, m):
         """c as a coefficient of the table's ring, reduced mod m when m is
         nonzero.  Only ints and Fractions are exact; over ZZ a value that
-        is not integral raises ValueError, over QQ a value is kept as is."""
+        is not integral raises ValueError."""
         if not isinstance(c, (int, Fraction)):
             raise TypeError("coefficient %r is not an int or a Fraction"
                             % (c,))
-        ring = self.table.ring
-        if ring.kind != "QQ":
-            c = ring.convert(c)
+        c = self.table.ring.convert(c)
         return c % m if m else c
 
     def _zip(self, other, op):
@@ -619,25 +617,21 @@ def compute_tor(data, ring, bound=None, method="auto"):
         ks = range(kmin - 1, kmax + 2)
         if squarefree:
             grouped = _squarefree_keys(face, poset_pos, n, t, ks)
-        else:
-            bases = {k: _bidegree_basis(face, n, k, t) for k in ks}
-            if use_blocks:
-                grouped = {k: _by_multidegree(data, face, ambient_pos,
-                                              bases[k]) for k in ks}
+        elif use_blocks:
+            grouped = {k: _by_multidegree(data, face, ambient_pos,
+                                          _bidegree_basis(face, n, k, t))
+                       for k in ks}
+        else:  # the trivial grading: one block per bidegree
+            grouped = {k: {(): _bidegree_basis(face, n, k, t)} for k in ks}
         for k in range(kmin, kmax + 1):
             if not _has_monomials(face, t - 2 * k):
                 continue  # the bidegree basis is empty
-            if use_blocks:
-                here, out, inc = grouped[k], grouped[k - 1], grouped[k + 1]
-                blocks = tuple(
-                    _Block(ring, here[mu],
-                           {key: i for i, key in enumerate(out.get(mu, ()))},
-                           inc.get(mu, ()), dvec)
-                    for mu in sorted(here))
-            else:
-                out_index = {key: i for i, key in enumerate(bases[k - 1])}
-                blocks = (_Block(ring, bases[k], out_index, bases[k + 1],
-                                 dvec),)
+            here, out, inc = grouped[k], grouped[k - 1], grouped[k + 1]
+            blocks = tuple(
+                _Block(ring, here[mu],
+                       {key: i for i, key in enumerate(out.get(mu, ()))},
+                       inc.get(mu, ()), dvec)
+                for mu in sorted(here))
             entries[(-k, t)] = TorEntry((-k, t), blocks)
     return TorTable(data, ring, bound, "blocks" if use_blocks else "bidegree",
                     squarefree, face, entries)
@@ -824,14 +818,14 @@ def hochster_oracle(data, ring, bound=None):
     return dict(sorted(out.items()))
 
 
-def uct_report(data, p, bound=None, method="auto"):
+def uct_report(data, p, bound=None):
     """Universal-coefficient consistency of the mod-p table against the
     rational and integral ones; returns a list of problem strings."""
     ring_q = CoefficientRing.rationals()
     ring_p = CoefficientRing.integers_mod(p)
-    table_q = compute_tor(data, ring_q, bound=bound, method=method)
-    table_z = compute_tor(data, _ZZ, bound=bound, method=method)
-    table_p = compute_tor(data, ring_p, bound=bound, method=method)
+    table_q = compute_tor(data, ring_q, bound=bound)
+    table_z = compute_tor(data, _ZZ, bound=bound)
+    table_p = compute_tor(data, ring_p, bound=bound)
 
     def tp(bd):
         return sum(1 for d in table_z.torsion(bd) if d % p == 0)

@@ -12,9 +12,6 @@ from facetor.exactalg import (
     CoefficientRing,
     ExactMatrix,
     PreparedSolver,
-    add_scaled,
-    convert_vector,
-    scaled,
 )
 from facetor.torcohomology import compute_tor
 
@@ -243,17 +240,6 @@ def test_ring_equality():
     assert CoefficientRing.integers_mod(5) == F5
     assert CoefficientRing.integers_mod(7) != F5
     assert ZZ != QQ
-
-
-def test_vector_helpers():
-    v = {0: 2, 1: -1}
-    add_scaled(v, 3, {1: 1, 2: 2})
-    assert v == {0: 2, 1: 2, 2: 6}
-    add_scaled(v, -1, {0: 2, 1: 2, 2: 6})
-    assert v == {}
-    assert scaled(2, {0: 3}, modulus=3) == {}
-    assert scaled(0, {0: 3}) == {}
-    assert convert_vector({0: Fraction(4, 2), 1: Fraction(5)}, F5) == {0: 2}
 
 
 # ---------------------------------------------------------------------------
@@ -491,16 +477,20 @@ def test_prepared_solver_agrees_with_solve(data, xs):
     A = ExactMatrix.from_dense(rows, QQ, ncols=n)
     ps = PreparedSolver(A)
     assert ps.full_column_rank == (A.rank() == n)
-    b = A.mul_vec({j: Fraction(xs[j]) for j in range(n) if xs[j]})
+    x0 = {j: Fraction(xs[j]) for j in range(n) if xs[j]}
+    b = A.mul_vec(x0)
     x = ps.solve(b)
     assert x is not None and A.mul_vec(x) == b
-    if len(rows):
-        bad = dict(b)
-        # Perturb outside the column span when the matrix is not onto.
-        if A.rank() < len(rows):
-            probe = {i: Fraction(1 + i) for i in range(len(rows))}
-            if ps.solve(probe) is None:
-                assert A.solve(probe) is None
+    if ps.full_column_rank:
+        assert x == x0
+    # When A is not onto, some unit vector lies outside its column span.
+    probes = [{i: Fraction(1)} for i in range(len(rows))]
+    probes.append({i: Fraction(1 + i) for i in range(len(rows))})
+    for probe in probes:
+        x = ps.solve(probe)
+        assert (x is None) == (A.solve(probe) is None)
+        if x is not None:
+            assert A.mul_vec(x) == probe
 
 
 def test_prepared_solver_basic():
@@ -521,6 +511,19 @@ def test_prepared_solver_mod_p():
     b = A.mul_vec({0: 3, 1: 4})
     x = ps.solve(b)
     assert A.mul_vec(x) == b
+    # rank deficient: row 1 = 2 row 0, row 3 = row 0 + row 2, and
+    # column 1 = 2 column 0
+    A = ExactMatrix.from_dense(
+        [[1, 2, 0], [2, 4, 0], [0, 0, 1], [1, 2, 1]], F5)
+    ps = PreparedSolver(A)
+    assert ps.rank == 2 and not ps.full_column_rank
+    b = A.mul_vec({0: 1, 1: 3, 2: 4})
+    x = ps.solve(b)
+    assert A.mul_vec(x) == b
+    assert all(v in range(1, 5) for v in x.values())
+    for probe in ({1: 1}, {3: 2}, {0: 1, 1: 1}):
+        assert ps.solve(probe) is None and A.solve(probe) is None
+    assert ps.solve({}) == {}
 
 
 # ---------------------------------------------------------------------------

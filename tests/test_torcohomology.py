@@ -9,8 +9,9 @@ from facetor.koszul import (TwistData, compute_q, differential, star_product,
                             total_degree_basis, wedge_product)
 from facetor.simplicial import CharacteristicData, SimplicialPoset
 from facetor.torcohomology import (_canonical_invariants, compare_products,
-                                   compute_tor, hochster_oracle,
-                                   product_table, reduce, uct_report)
+                                   compute_tor, format_class,
+                                   hochster_oracle, product_table, reduce,
+                                   uct_report)
 
 from helpers import (cstar2_data, cycle_facets, rp2_facets,
                      small_characteristic_data,
@@ -432,6 +433,18 @@ def test_classes_reject_floats():
             assert g.scale(3).coords == (3, 0)
         if ring == F3:
             assert g.scale(Fraction(1, 2)).coords == (2, 0)
+
+
+def test_rational_class_repr_does_not_depend_on_construction():
+    table = compute_tor(cstar2_data(), QQ)
+    g = table.generator_class((-1, 2), 0)
+    (gen,) = [x for x in table.generator_list() if x.gid == ((-1, 2), 0)]
+    r = reduce(gen.element, table)
+    assert r == g and repr(r) == repr(g)
+    assert repr(g) == ("<class total=1 {(-1, 2): "
+                       "(Fraction(1, 1), Fraction(0, 1))}>")
+    assert format_class(r) == format_class(g) == "g(-1,2;0)"
+    assert all(type(c) is Fraction for c in g.coords + r.coords)
 
 
 def smith_invariants(invs):
