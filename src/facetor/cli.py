@@ -37,6 +37,16 @@ def _coeffs(text):
         "expected q, z, or zmod:P, got %r" % text)
 
 
+def _bound(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("bound must be >= 0, got %d" % value)
+    return value
+
+
 def _coeffs_token(ring):
     if ring.modulus:
         return "zmod:%d" % ring.modulus
@@ -177,14 +187,6 @@ def cmd_tor(args):
     return 0
 
 
-def _pairs(table):
-    gens = table.generator_list()
-    for g1 in gens:
-        for g2 in gens:
-            if g1.total + g2.total <= table.bound:
-                yield g1, g2
-
-
 def cmd_mult(args):
     data = _checked_data(args.data)
     table = compute_tor(data, args.coeffs, bound=args.max_total_degree)
@@ -230,12 +232,12 @@ def cmd_mult(args):
                    {"left": generator_name(g1.gid),
                     "right": generator_name(g2.gid),
                     "value": format_class(prods.product(g1.gid, g2.gid))}
-                   for g1, g2 in _pairs(table)]}
+                   for g1, g2 in table.generator_pairs()]}
         sys.stdout.write(dump_document(doc))
         return 0
     print("%s products for %s" % ("twisted" if twisted else "untwisted",
                                   _title(data, args.coeffs, table.bound)))
-    for g1, g2 in _pairs(table):
+    for g1, g2 in table.generator_pairs():
         print("%s * %s = %s" % (generator_name(g1.gid), generator_name(g2.gid),
                                 format_class(prods.product(g1.gid, g2.gid))))
     return 0
@@ -395,7 +397,7 @@ def _parser():
         p.add_argument("--coeffs", type=_coeffs,
                        default=CoefficientRing.rationals(),
                        help="coefficients: q, z, or zmod:P (default q)")
-        p.add_argument("--max-total-degree", type=int, default=None,
+        p.add_argument("--max-total-degree", type=_bound, default=None,
                        metavar="D", help="truncate the table above D")
         p.add_argument("--format", choices=("table", "structured"),
                        default="table", help="output format")

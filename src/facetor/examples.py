@@ -203,18 +203,14 @@ def _example_diagonal():
     double = compute_tor(diag.target, QQ, bound=table.bound)
     hat = hat_tor_phi(diag, double, table)
     prod = product_table(table, compute_q(data))
-    gens = table.generator_list()
     failures = []
     pairs = 0
-    for g1 in gens:
-        for g2 in gens:
-            if g1.total + g2.total > table.bound:
-                continue
-            pairs += 1
-            cross = cross_element(diag, g1.element, g2.element, QQ)
-            image = hat.apply(double.reduce(cross, total=g1.total + g2.total))
-            if image != prod.product(g1.gid, g2.gid):
-                failures.append((g1.gid, g2.gid))
+    for g1, g2 in table.generator_pairs():
+        pairs += 1
+        cross = cross_element(diag, g1.element, g2.element, QQ)
+        image = hat.apply(double.reduce(cross, total=g1.total + g2.total))
+        if image != prod.product(g1.gid, g2.gid):
+            failures.append((g1.gid, g2.gid))
     out.check("diagonal reproduces the twisted products (%d pairs)" % pairs,
               failures, [])
     return out.result()

@@ -10,8 +10,11 @@ chain order, the empty tuple being 1, and a ring element is a dict
 Products and pullbacks are resolved against this basis through the joint
 restriction to the polynomial rings of the maximal faces, which is
 injective; the per-degree solver is prepared once over QQ and reused, with
-results converted back into the requested coefficient ring.  Simplicial
-complexes instead take a closed-form path through exponent vectors.
+results converted back into the requested coefficient ring.  Products on
+simplicial complexes instead take a closed-form path through exponent
+vectors.  Pullbacks have one route, restriction and gluing, on complexes
+and posets alike: restrictions that do not glue raise
+LimitPresentationError rather than giving a value.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def convert_element(f, ring):
     return out
 
 
-def _poly_mul_linear(poly, form, nvars):
+def _poly_mul_linear(poly, form):
     """Multiply a dense-exponent-keyed polynomial by a linear form given as
     {variable position: coefficient}."""
     out = {}
@@ -314,14 +317,15 @@ class FaceRingMap:
 
     On the polynomial ring of each maximal source face, the map restricts
     an element to nu of that face and substitutes the linear forms given by
-    the columns; the results are resolved against the source basis.  When
-    both posets are complexes a closed-form route through generator images
-    is available ("generators"); "limit" forces the general route.
+    the columns; the results are glued back by resolving them against the
+    source basis.  This is the only route, for complexes and posets alike.
+    Restrictions that do not glue, as columns that do not respect nu can
+    give, raise LimitPresentationError instead of returning a value.
     """
 
-    __slots__ = ("target", "source", "nu", "columns", "method", "_powers")
+    __slots__ = ("target", "source", "nu", "columns")
 
-    def __init__(self, target, source, nu, columns, method="auto"):
+    def __init__(self, target, source, nu, columns):
         self.target = target
         self.source = source
         self.nu = dict(nu)
@@ -334,72 +338,16 @@ class FaceRingMap:
                 raise ValueError("nu image %r is not a target element" % img)
         if self.nu[source.poset.bottom] != target.poset.bottom:
             raise ValueError("nu must send the empty face to the empty face")
-        if method == "auto":
-            method = ("generators"
-                      if source.poset.is_complex and target.poset.is_complex
-                      else "limit")
-        if method not in ("generators", "limit"):
-            raise ValueError("unknown method %r" % (method,))
-        self.method = method
-        self._powers = {}
 
     def __call__(self, f, ring):
         if not f:
             return {}
-        if self.method == "generators":
-            return self._apply_generators(f, ring)
         return self.source._resolve(self._image_restrictions(f), ring)
 
     def generator_image(self, tau, ring):
         """Image of the generator t_tau, exposing its expansion
         coefficients over source standard monomials."""
         return self({((tau, 1),): ring.one()}, ring)
-
-    def _vertex_image(self, v):
-        """QQ image of a target t_v as a source element (complexes)."""
-        src = self.source
-        out = {}
-        for v2 in src.poset.vertices:
-            a = self.columns.get(v2, {}).get(v, 0)
-            if a:
-                out[src.t_vertex(v2)] = Fraction(a)
-        return out
-
-    def _vertex_power(self, v, k):
-        key = (v, k)
-        cached = self._powers.get(key)
-        if cached is None:
-            if k == 0:
-                cached = {(): Fraction(1)}
-            else:
-                cached = self.source.multiply(
-                    self._vertex_power(v, k - 1), self._vertex_image(v), _QQ)
-            self._powers[key] = cached
-        return cached
-
-    def _apply_generators(self, f, ring):
-        src, tgt = self.source, self.target
-        out_q = {}
-        for mono, c in _lift(f).items():
-            expvec = tgt.exponent_vector(mono)
-            term = {(): c}
-            for pos, a in enumerate(expvec):
-                if a:
-                    term = src.multiply(
-                        term, self._vertex_power(tgt.poset.vertices[pos], a),
-                        _QQ)
-            for m, cc in term.items():
-                w = out_q.get(m, 0) + cc
-                if w:
-                    out_q[m] = w
-                else:
-                    del out_q[m]
-        out = {}
-        for mono, c in out_q.items():
-            v = ring.convert(c)
-            if v:
-                out[mono] = v
-        return out
 
     def _image_restrictions(self, f):
         """{degree: {(maximal source face index, exponent tuple): QQ}} for
@@ -427,7 +375,7 @@ class FaceRingMap:
                 term = {(0,) * len(sverts): c}
                 for pos, a in enumerate(expvec):
                     for _ in range(a):
-                        term = _poly_mul_linear(term, forms[pos], len(sverts))
+                        term = _poly_mul_linear(term, forms[pos])
                         if not term:
                             break
                     if not term:
@@ -443,6 +391,6 @@ class FaceRingMap:
         return h
 
 
-def pullback(target, source, nu, columns, f, ring, method="auto"):
+def pullback(target, source, nu, columns, f, ring):
     """One-shot face-ring pullback; see FaceRingMap."""
-    return FaceRingMap(target, source, nu, columns, method=method)(f, ring)
+    return FaceRingMap(target, source, nu, columns)(f, ring)

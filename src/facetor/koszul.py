@@ -237,17 +237,23 @@ def _normal_order_into(out, word, fcoef, q, ring, face):
     return out
 
 
+def bidegree_basis(face, n, k, t):
+    """Keys (S, m) with |S| = k and internal degree t, in canonical order:
+    index sets lexicographically, then monomials in basis order."""
+    if k < 0 or k > n:
+        return ()
+    monos = face.basis_of_degree(t - 2 * k)
+    if not monos:
+        return ()
+    return tuple((S, mono)
+                 for S in combinations(range(1, n + 1), k)
+                 for mono in monos)
+
+
 def total_degree_basis(data, d, face=None):
-    """Deterministic ordered basis of the total-degree-d component: index
-    sets of size k (largest k first), monomials of degree d - k."""
+    """Deterministic ordered basis of the total-degree-d component: the
+    bidegree bases (-k, d + k), largest k first."""
     if face is None:
         face = FaceRing(data.poset)
-    out = []
-    for k in range(min(data.n, d), -1, -1):
-        monos = face.basis_of_degree(d - k)
-        if not monos:
-            continue
-        for S in combinations(range(1, data.n + 1), k):
-            for mono in monos:
-                out.append((S, mono))
-    return tuple(out)
+    return tuple(key for k in range(min(data.n, d), -1, -1)
+                 for key in bidegree_basis(face, data.n, k, d + k))

@@ -30,23 +30,11 @@ from math import gcd
 
 from .exactalg import CoefficientRing, ExactMatrix
 from .facering import FaceRing
-from .koszul import (TwistData, compute_q, differential,
-                     element_total_degree, monomial_degree, star_product,
-                     wedge_product)
+from .koszul import (TwistData, bidegree, bidegree_basis, compute_q,
+                     differential, element_total_degree, monomial_degree,
+                     star_product, wedge_product)
 
 _ZZ = CoefficientRing.integers()
-
-
-def _bidegree_basis(face, n, k, t):
-    """Keys (S, m) with |S| = k and internal degree t, canonical order."""
-    if k < 0 or k > n:
-        return ()
-    monos = face.basis_of_degree(t - 2 * k)
-    if not monos:
-        return ()
-    return tuple((S, mono)
-                 for S in combinations(range(1, n + 1), k)
-                 for mono in monos)
 
 
 def _has_monomials(face, d):
@@ -384,6 +372,15 @@ class TorTable:
                                            element, modulus))
         return gens
 
+    def generator_pairs(self):
+        """Ordered pairs (g1, g2) of generator_list() whose total degrees
+        add up to at most the bound: the pairs that have a product."""
+        gens = self.generator_list()
+        for g1 in gens:
+            for g2 in gens:
+                if g1.total + g2.total <= self.bound:
+                    yield g1, g2
+
     def reduce(self, z, total=None):
         """Class of a cocycle; raises if z is not a cocycle or exceeds the
         table bound."""
@@ -489,9 +486,8 @@ class TorTable:
         """{bidegree: part of z} of a homogeneous element."""
         poset = self.data.poset
         comps = {}
-        for (S, mono), c in z.items():
-            bd = (-len(S), monomial_degree(poset, mono) + 2 * len(S))
-            comps.setdefault(bd, {})[(S, mono)] = c
+        for key, c in z.items():
+            comps.setdefault(bidegree(poset, key), {})[key] = c
         return comps
 
     def _is_basis_key(self, key):
@@ -619,10 +615,10 @@ def compute_tor(data, ring, bound=None, method="auto"):
             grouped = _squarefree_keys(face, poset_pos, n, t, ks)
         elif use_blocks:
             grouped = {k: _by_multidegree(data, face, ambient_pos,
-                                          _bidegree_basis(face, n, k, t))
+                                          bidegree_basis(face, n, k, t))
                        for k in ks}
         else:  # the trivial grading: one block per bidegree
-            grouped = {k: {(): _bidegree_basis(face, n, k, t)} for k in ks}
+            grouped = {k: {(): bidegree_basis(face, n, k, t)} for k in ks}
         for k in range(kmin, kmax + 1):
             if not _has_monomials(face, t - 2 * k):
                 continue  # the bidegree basis is empty
@@ -707,21 +703,16 @@ class ProductTable:
 def product_table(table, twist=None):
     """Reduce all products of representatives; twist None means the
     untwisted wedge product."""
-    gens = table.generator_list()
     products = {}
-    for g1 in gens:
-        for g2 in gens:
-            total = g1.total + g2.total
-            if total > table.bound:
-                continue
-            if twist is None:
-                z = wedge_product(g1.element, g2.element, table.ring,
-                                  table.face)
-            else:
-                z = star_product(g1.element, g2.element, twist, table.ring,
-                                 table.face)
-            products[(g1.gid, g2.gid)] = table.reduce(z, total=total)
-    return ProductTable(table, twist, tuple(gens), products)
+    for g1, g2 in table.generator_pairs():
+        if twist is None:
+            z = wedge_product(g1.element, g2.element, table.ring, table.face)
+        else:
+            z = star_product(g1.element, g2.element, twist, table.ring,
+                             table.face)
+        products[(g1.gid, g2.gid)] = table.reduce(z,
+                                                  total=g1.total + g2.total)
+    return ProductTable(table, twist, tuple(table.generator_list()), products)
 
 
 class ComparisonReport:

@@ -260,7 +260,7 @@ class _ChainMaps:
     """Evaluation caches for the chain maps of one morphism and ring."""
 
     __slots__ = ("phi", "ring", "face", "twist", "ringmap", "rows",
-                 "hatq", "_star", "_ext", "_fimage")
+                 "hatq", "_words", "_fimage")
 
     def __init__(self, phi, ring):
         self.phi = phi
@@ -271,7 +271,6 @@ class _ChainMaps:
         columns = {vp: lft.columns[vp] for vp in phi.source.poset.vertices}
         self.ringmap = FaceRingMap(FaceRing(phi.target.poset), self.face,
                                    phi.nu, columns)
-        one = ring.one()
         self.rows = {}
         for i in range(1, phi.target.n + 1):
             row = {}
@@ -282,23 +281,24 @@ class _ChainMaps:
             self.rows[i] = row
         self.hatq = {pair: convert_element(val, ring)
                      for pair, val in _cached_hat_q(phi).q.items()}
-        self._star = {(): {((), ()): one}}
-        self._ext = {(): {((), ()): one}}
+        self._words = {}
         self._fimage = {}
 
-    def _star_word(self, S):
-        if S not in self._star:
-            head = self._star_word(S[:-1])
-            self._star[S] = star_product(head, self.rows[S[-1]], self.twist,
-                                         self.ring, self.face)
-        return self._star[S]
+    def _star(self, a, b):
+        return star_product(a, b, self.twist, self.ring, self.face)
 
-    def _ext_word(self, S):
-        if S not in self._ext:
-            head = self._ext_word(S[:-1])
-            self._ext[S] = wedge_product(head, self.rows[S[-1]], self.ring,
-                                         self.face)
-        return self._ext[S]
+    def _wedge(self, a, b):
+        return wedge_product(a, b, self.ring, self.face)
+
+    def _word(self, product, S):
+        """Left-to-right product of the pulled-back generators a_i, i in S,
+        cached per product."""
+        key = (product.__name__, S)
+        if key not in self._words:
+            self._words[key] = (
+                product(self._word(product, S[:-1]), self.rows[S[-1]]) if S
+                else {((), ()): self.ring.one()})
+        return self._words[key]
 
     def _face_image(self, mono):
         if mono not in self._fimage:
@@ -306,32 +306,26 @@ class _ChainMaps:
             self._fimage[mono] = {((), m): c for m, c in img.items()}
         return self._fimage[mono]
 
-    def _combine(self, out, word_part, mono, c, product):
-        fim = self._face_image(mono)
-        if not fim:
-            return
+    def _apply(self, z, product):
+        """Products of the pulled-back generators times the pulled-back
+        face part, summed over the terms of z."""
+        out = {}
         mod = self.ring.modulus
-        for key, ci in product(word_part, fim).items():
-            _add_term(out, key, c * ci, mod)
+        for (S, mono), c in z.items():
+            fim = self._face_image(mono)
+            if fim:
+                for key, ci in product(self._word(product, S), fim).items():
+                    _add_term(out, key, c * ci, mod)
+        return out
 
     def xi(self, z):
         """Star products of the pulled-back generators, times the
         pulled-back face part."""
-        out = {}
-        for (S, mono), c in z.items():
-            self._combine(out, self._star_word(S), mono, c,
-                          lambda a, b: star_product(a, b, self.twist,
-                                                    self.ring, self.face))
-        return out
+        return self._apply(z, self._star)
 
     def exterior(self, z):
         """The exterior-power chain map: wedges instead of stars."""
-        out = {}
-        for (S, mono), c in z.items():
-            self._combine(out, self._ext_word(S), mono, c,
-                          lambda a, b: wedge_product(a, b, self.ring,
-                                                     self.face))
-        return out
+        return self._apply(z, self._wedge)
 
     def hat_xi(self, z):
         """xi plus the contraction corrections against q^."""
@@ -420,21 +414,16 @@ def product_failures(induced, domain_products, codomain_products):
     domain generators whose total degree fits the domain bound, products
     taken in domain_products and codomain_products.  Returns the failing
     pairs of generator ids and the number of pairs compared."""
-    table = induced.domain
     images = induced.images
-    gens = table.generator_list()
     failures = []
     pairs = 0
-    for g1 in gens:
-        for g2 in gens:
-            if g1.total + g2.total > table.bound:
-                continue
-            pairs += 1
-            lhs = induced.apply(domain_products.product(g1.gid, g2.gid))
-            rhs = codomain_products.multiply_classes(images[g1.gid],
-                                                     images[g2.gid])
-            if lhs != rhs:
-                failures.append((g1.gid, g2.gid))
+    for g1, g2 in induced.domain.generator_pairs():
+        pairs += 1
+        lhs = induced.apply(domain_products.product(g1.gid, g2.gid))
+        rhs = codomain_products.multiply_classes(images[g1.gid],
+                                                 images[g2.gid])
+        if lhs != rhs:
+            failures.append((g1.gid, g2.gid))
     return failures, pairs
 
 

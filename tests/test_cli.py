@@ -116,6 +116,8 @@ def test_usage_errors(capsys, docs):
     assert run_cli(capsys)[0] == 2
     assert run_cli(capsys, "tor", docs["cstar2"], "--coeffs", "zmod:4")[0] == 2
     assert run_cli(capsys, "tor", docs["cstar2"], "--coeffs", "gf9")[0] == 2
+    assert run_cli(capsys, "tor", docs["cstar2"],
+                   "--max-total-degree", "-1")[0] == 2
 
 
 def test_oversized_modulus_is_a_usage_error(capsys, docs):
@@ -209,6 +211,98 @@ def test_mult_compare_frozen(capsys, docs):
     assert out == MULT_COMPARE
 
 
+MULT_COMPARE_STRUCTURED = """\
+{
+  "coefficients": "q",
+  "data": {
+    "facets": [
+      [
+        "v"
+      ],
+      [
+        "w"
+      ]
+    ],
+    "lattice_rank": 3,
+    "name": "cstar2-p1",
+    "vertices": [
+      {
+        "chi": [
+          1,
+          1,
+          1
+        ],
+        "id": "v"
+      },
+      {
+        "chi": [
+          -1,
+          -1,
+          -1
+        ],
+        "id": "w"
+      },
+      {
+        "chi": [
+          1,
+          0,
+          0
+        ],
+        "ghost": true,
+        "id": "g1"
+      },
+      {
+        "chi": [
+          0,
+          1,
+          0
+        ],
+        "ghost": true,
+        "id": "g2"
+      }
+    ]
+  },
+  "differences": [
+    {
+      "left": "g(-1,2;0)",
+      "right": "g(-1,2;1)",
+      "twisted": "-g(0,2;0) + g(-2,4;0)",
+      "untwisted": "g(-2,4;0)"
+    },
+    {
+      "left": "g(-1,2;0)",
+      "right": "g(-2,4;0)",
+      "twisted": "g(-1,4;0)",
+      "untwisted": "0"
+    },
+    {
+      "left": "g(-1,2;1)",
+      "right": "g(-2,4;0)",
+      "twisted": "g(-1,4;1)",
+      "untwisted": "0"
+    },
+    {
+      "left": "g(-2,4;0)",
+      "right": "g(-2,4;0)",
+      "twisted": "2 g(-2,6;0)",
+      "untwisted": "0"
+    }
+  ],
+  "document": "product-comparison",
+  "max_total_degree": 7,
+  "name": "cstar2-p1"
+}
+"""
+
+
+def test_mult_compare_structured_frozen(capsys, docs):
+    rc, out, err = run_cli(capsys, "mult", docs["cstar2"], "--compare",
+                           "--format", "structured")
+    assert rc == 0
+    assert out == MULT_COMPARE_STRUCTURED
+    assert err == ""
+
+
 def test_mult_twisted_and_untwisted(capsys, docs):
     rc, out, _ = run_cli(capsys, "mult", docs["cstar2"])
     assert rc == 0
@@ -250,11 +344,84 @@ def test_map_basis_change(capsys, docs):
     assert "  g(-2,4;0) -> g(0,2;0) + g(-2,4;0)" in twisted
 
 
-def test_map_power_hatq(capsys, tmp_path, docs):
+MAP_BASIS_CHANGE = """\
+morphism basis-change: cstar2-p1 rebased -> cstar2-p1 (over QQ, total degree <= 7)
+induced maps act from the target table to the source table
+hat q = 0
+untwisted images:
+  g(0,0;0) -> g(0,0;0)
+  g(-1,2;0) -> g(-1,2;0) - g(-1,2;1)
+  g(-1,2;1) -> -g(-1,2;1)
+  g(0,2;0) -> g(0,2;0)
+  g(-2,4;0) -> g(-2,4;0)
+  g(-1,4;0) -> g(-1,4;0) - g(-1,4;1)
+  g(-1,4;1) -> -g(-1,4;1)
+  g(-2,6;0) -> g(-2,6;0)
+twisted images:
+  g(0,0;0) -> g(0,0;0)
+  g(-1,2;0) -> g(-1,2;0) - g(-1,2;1)
+  g(-1,2;1) -> -g(-1,2;1)
+  g(0,2;0) -> g(0,2;0)
+  g(-2,4;0) -> g(0,2;0) + g(-2,4;0)
+  g(-1,4;0) -> g(-1,4;0) - g(-1,4;1)
+  g(-1,4;1) -> -g(-1,4;1)
+  g(-2,6;0) -> g(-2,6;0)
+"""
+
+
+def test_map_basis_change_frozen(capsys, docs):
+    rc, out, err = run_cli(capsys, "map", docs["rebased"], docs["cstar2"],
+                           docs["bc"], "--both", "--show-hatq")
+    assert rc == 0
+    assert out == MAP_BASIS_CHANGE
+    assert err == ""
+
+
+def power2_document(tmp_path):
     from facetor.toricmorphism import power_morphism
     phi = power_morphism(data_cstar2(), 2)
     phi.name = "power-map:2"
-    path = write(tmp_path, "pow2.json", morphism_document(phi))
+    return write(tmp_path, "pow2.json", morphism_document(phi))
+
+
+MAP_POWER_2 = """\
+morphism power-map:2: cstar2-p1 -> cstar2-p1 (over QQ, total degree <= 7)
+induced maps act from the target table to the source table
+hat q[2,1] = -t[{v}]-t[{w}]
+hat q[3,1] = -t[{v}]-t[{w}]
+hat q[3,2] = -t[{v}]-t[{w}]
+untwisted images:
+  g(0,0;0) -> g(0,0;0)
+  g(-1,2;0) -> 2 g(-1,2;0)
+  g(-1,2;1) -> 2 g(-1,2;1)
+  g(0,2;0) -> 2 g(0,2;0)
+  g(-2,4;0) -> 4 g(-2,4;0)
+  g(-1,4;0) -> 4 g(-1,4;0)
+  g(-1,4;1) -> 4 g(-1,4;1)
+  g(-2,6;0) -> 8 g(-2,6;0)
+twisted images:
+  g(0,0;0) -> g(0,0;0)
+  g(-1,2;0) -> 2 g(-1,2;0)
+  g(-1,2;1) -> 2 g(-1,2;1)
+  g(0,2;0) -> 2 g(0,2;0)
+  g(-2,4;0) -> -2 g(0,2;0) + 4 g(-2,4;0)
+  g(-1,4;0) -> 4 g(-1,4;0)
+  g(-1,4;1) -> 4 g(-1,4;1)
+  g(-2,6;0) -> 8 g(-2,6;0)
+"""
+
+
+def test_map_power_frozen(capsys, tmp_path, docs):
+    path = power2_document(tmp_path)
+    rc, out, err = run_cli(capsys, "map", docs["cstar2"], docs["cstar2"], path,
+                           "--both", "--show-hatq")
+    assert rc == 0
+    assert out == MAP_POWER_2
+    assert err == ""
+
+
+def test_map_power_hatq(capsys, tmp_path, docs):
+    path = power2_document(tmp_path)
     rc, out, _ = run_cli(capsys, "map", docs["cstar2"], docs["cstar2"], path,
                          "--show-hatq", "--twisted")
     assert rc == 0
@@ -308,13 +475,13 @@ def test_omega_mod_two_refusal(capsys, docs):
 
 
 def test_example_runs(capsys):
-    rc, out, _ = run_cli(capsys, "example", "cstar2-p1")
-    assert rc == 0
-    assert out.startswith("example cstar2-p1: ok")
-    assert "MISMATCH" not in out
-    rc, out, _ = run_cli(capsys, "example", "power-map:2")
-    assert rc == 0
-    assert "corrected image of b" in out
+    outputs = {}
+    for name in example_names():
+        rc, outputs[name], _ = run_cli(capsys, "example", name)
+        assert rc == 0, name
+        assert outputs[name].startswith("example %s: ok" % name)
+        assert "MISMATCH" not in outputs[name]
+    assert "corrected image of b" in outputs["power-map:2"]
 
 
 def test_example_unknown(capsys):

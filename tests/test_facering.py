@@ -314,12 +314,10 @@ def test_pullback_identity_complex_and_poset():
     for poset in (triangle_boundary(), double_edge_poset()):
         fr = FaceRing(poset)
         nu, columns = identity_map(fr)
-        for method in ((("generators", "limit") if poset.is_complex
-                        else ("limit",))):
-            fmap = FaceRingMap(fr, fr, nu, columns, method=method)
-            for d in (0, 2, 4):
-                for mono in fr.basis_of_degree(d):
-                    assert fmap({mono: 1}, ZZ) == {mono: 1}
+        fmap = FaceRingMap(fr, fr, nu, columns)
+        for d in (0, 2, 4):
+            for mono in fr.basis_of_degree(d):
+                assert fmap({mono: 1}, ZZ) == {mono: 1}
 
 
 def test_pullback_subcomplex_inclusion():
@@ -339,7 +337,7 @@ def test_pullback_zero_map():
     fr = FaceRing(triangle_boundary())
     nu = {e: fr.poset.bottom for e in fr.poset.elements}
     columns = {v: {} for v in fr.poset.vertices}
-    fmap = FaceRingMap(fr, fr, nu, columns, method="limit")
+    fmap = FaceRingMap(fr, fr, nu, columns)
     assert fmap({fr.t_vertex("a"): 1}, ZZ) == {}
     assert fmap({(): 5}, ZZ) == {(): 5}
 
@@ -349,8 +347,8 @@ def test_pullback_zero_map():
 def test_pullback_substitution_on_solid_simplex(draw):
     # On a full simplex the face ring is a polynomial ring, so any integer
     # columns give a valid map once nu sends every nonempty face to the top
-    # (column supports must sit inside nu of their vertex); both engine
-    # routes and the multiset-formula oracle must agree on every generator.
+    # (column supports must sit inside nu of their vertex); the engine and
+    # the multiset-formula oracle must agree on every generator.
     poset = solid_simplex(2)
     fr = FaceRing(poset)
     top = poset.maximal[0]
@@ -359,21 +357,18 @@ def test_pullback_substitution_on_solid_simplex(draw):
     columns = {v2: {v: draw.draw(st.integers(-2, 2))
                     for v in poset.vertices}
                for v2 in poset.vertices}
-    gen = FaceRingMap(fr, fr, nu, columns, method="generators")
-    lim = FaceRingMap(fr, fr, nu, columns, method="limit")
+    fmap = FaceRingMap(fr, fr, nu, columns)
     for tau in poset.elements:
         if poset.rank(tau) == 0:
             continue
-        img_gen = gen.generator_image(tau, ZZ)
-        img_lim = lim.generator_image(tau, ZZ)
-        assert img_gen == img_lim
-        assert img_gen == pullback_generator_oracle(gen, tau, ZZ)
+        assert fmap.generator_image(tau, ZZ) == \
+            pullback_generator_oracle(fmap, tau, ZZ)
 
 
 def test_pullback_multiset_oracle_on_poset_identity():
     fr = FaceRing(double_edge_poset())
     nu, columns = identity_map(fr)
-    fmap = FaceRingMap(fr, fr, nu, columns, method="limit")
+    fmap = FaceRingMap(fr, fr, nu, columns)
     for tau in ("a", "e1", "e2"):
         assert fmap.generator_image(tau, ZZ) == \
             pullback_generator_oracle(fmap, tau, ZZ)
@@ -386,7 +381,7 @@ def test_pullback_is_ring_map_on_simplex():
     nu = {e: poset.bottom if e == poset.bottom else top
           for e in poset.elements}
     columns = {"a": {"a": 1, "b": 2}, "b": {"b": 1, "c": -1}, "c": {"c": 3}}
-    fmap = FaceRingMap(fr, fr, nu, columns, method="limit")
+    fmap = FaceRingMap(fr, fr, nu, columns)
     f = {fr.t_vertex("a"): 1, (): 2}
     g = {fr.t_vertex("b"): 3, (("{a,c}", 1),): 1}
     lhs = fmap(fr.multiply(f, g, ZZ), ZZ)
@@ -395,12 +390,16 @@ def test_pullback_is_ring_map_on_simplex():
 
 
 def test_pullback_inconsistent_data_raises():
+    # The column of a reaches b, outside nu({a}) = {a}: the restrictions to
+    # the edges do not glue, so the map must raise, not return a value.
     fr = FaceRing(triangle_boundary())
     nu = {e: e for e in fr.poset.elements}
     columns = {"a": {"a": 1, "b": 1}, "b": {"b": 1}, "c": {"c": 1}}
-    fmap = FaceRingMap(fr, fr, nu, columns, method="limit")
+    fmap = FaceRingMap(fr, fr, nu, columns)
     with pytest.raises(LimitPresentationError):
         fmap({fr.t_vertex("b"): 1}, ZZ)
+    with pytest.raises(LimitPresentationError):
+        pullback(fr, fr, nu, columns, {fr.t_vertex("b"): 1}, ZZ)
 
 
 def test_pullback_validation_errors():
@@ -413,7 +412,9 @@ def test_pullback_validation_errors():
     wrong_bottom = {e: "{a}" for e in fr.poset.elements}
     with pytest.raises(ValueError, match="empty face"):
         FaceRingMap(fr, fr, wrong_bottom, columns)
-    with pytest.raises(ValueError, match="method"):
-        FaceRingMap(fr, fr, nu, columns, method="magic")
+    with pytest.raises(TypeError):
+        FaceRingMap(fr, fr, nu, columns, method="limit")
+    with pytest.raises(TypeError):
+        pullback(fr, fr, nu, columns, {}, ZZ, method="limit")
     assert pullback(fr, fr, nu, columns, {fr.t_vertex("a"): 1}, ZZ) == \
         {fr.t_vertex("a"): 1}
