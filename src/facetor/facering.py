@@ -12,9 +12,11 @@ restriction to the polynomial rings of the maximal faces, which is
 injective; the per-degree solver is prepared once over QQ and reused, with
 results converted back into the requested coefficient ring.  Products on
 simplicial complexes instead take a closed-form path through exponent
-vectors.  Pullbacks have one route, restriction and gluing, on complexes
-and posets alike: restrictions that do not glue raise
-LimitPresentationError rather than giving a value.
+vectors.  The structure constants are integers, so vertex products t_v m
+are memoised once per face ring with integer coefficients.  Pullbacks
+have one route, restriction and gluing, on complexes and posets alike:
+restrictions that do not glue raise LimitPresentationError rather than
+giving a value.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from fractions import Fraction
 from .exactalg import CoefficientRing, ExactMatrix, PreparedSolver
 
 _QQ = CoefficientRing.rationals()
+_ZZ = CoefficientRing.integers()
 
 
 class LimitPresentationError(RuntimeError):
@@ -97,12 +100,14 @@ def _poly_mul_linear(poly, form):
 class FaceRing:
     """The face ring of a simplicial poset (coefficients chosen per call)."""
 
-    __slots__ = ("poset", "_mono_cache", "_system_cache", "_by_vset")
+    __slots__ = ("poset", "_mono_cache", "_system_cache", "_by_vset",
+                 "_vertex_products")
 
     def __init__(self, poset):
         self.poset = poset
         self._mono_cache = {}
         self._system_cache = {}
+        self._vertex_products = {}
         self._by_vset = ({poset.vertex_set[e]: e for e in poset.elements}
                          if poset.is_complex else None)
 
@@ -110,8 +115,17 @@ class FaceRing:
         """The monomial t_v for a vertex id."""
         return ((self.poset.atom[v], 1),)
 
-    def degree_of(self, mono):
-        return monomial_degree(self.poset, mono)
+    def vertex_product(self, v, mono):
+        """t_v * mono as a tuple of (monomial, int) pairs, memoised per
+        (v, mono).  Face-ring structure constants are integers, on posets
+        as on complexes, so one integer product serves every ring."""
+        key = (v, mono)
+        terms = self._vertex_products.get(key)
+        if terms is None:
+            terms = tuple(self.multiply({mono: 1}, {self.t_vertex(v): 1},
+                                        _ZZ).items())
+            self._vertex_products[key] = terms
+        return terms
 
     def basis_of_degree(self, d):
         """All standard monomials of the given degree, canonically ordered."""
@@ -343,11 +357,6 @@ class FaceRingMap:
         if not f:
             return {}
         return self.source._resolve(self._image_restrictions(f), ring)
-
-    def generator_image(self, tau, ring):
-        """Image of the generator t_tau, exposing its expansion
-        coefficients over source standard monomials."""
-        return self({((tau, 1),): ring.one()}, ring)
 
     def _image_restrictions(self, f):
         """{degree: {(maximal source face index, exponent tuple): QQ}} for

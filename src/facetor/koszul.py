@@ -7,9 +7,13 @@ term (S, m) has bidegree (-|S|, deg m + 2|S|) and total degree |S| + deg m.
 
 The differential d = -sum_v iota(x_v) tensor t_v contracts against the
 characteristic vectors and multiplies by the vertex generators; ghost
-vertices drop out since their t_v is zero.  The twisted product extends
-the generator rule a*b = ab + sum_{i>=j} a(x_i)b(x_j) q_ij by Clifford
-normal ordering, with the twist values q_ij central face-ring elements.
+vertices drop out since their t_v is zero.  The products t_v m are read
+from the face ring's memo of integer vertex products and scaled into the
+coefficient ring, so each one is multiplied out once per face ring.
+
+The twisted product extends the generator rule
+a*b = ab + sum_{i>=j} a(x_i)b(x_j) q_ij by Clifford normal ordering, with
+the twist values q_ij central face-ring elements.
 """
 
 from itertools import combinations
@@ -161,23 +165,29 @@ def compute_q(data):
 
 
 def differential(z, data, ring, face=None):
-    """d(a_S tensor m) = -sum_v iota(x_v)(a_S) tensor t_v m."""
+    """d(a_S tensor m) = -sum_v iota(x_v)(a_S) tensor t_v m.
+
+    The products t_v m come from the face ring's cached integer vertex
+    products, scaled by the coefficient in ring; c * ring.one() keeps QQ
+    values Fractions."""
     if face is None:
         face = FaceRing(data.poset)
     out = {}
     mod = ring.modulus
+    one = ring.one()
     for (S, mono), c in z.items():
         if not S:
             continue
+        c = c * one
         for v in data.poset.vertices:
             terms = contract(data.chi[v], S)
             if not terms:
                 continue
-            tv = {face.t_vertex(v): ring.one()}
-            prod = face.multiply({mono: c}, tv, ring)
+            prod = face.vertex_product(v, mono)
             for coef, S1 in terms:
-                for m1, c1 in prod.items():
-                    _add_term(out, (S1, m1), -coef * c1, mod)
+                scale = -coef * c
+                for m1, k in prod:
+                    _add_term(out, (S1, m1), scale * k, mod)
     return out
 
 

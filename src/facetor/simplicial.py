@@ -159,13 +159,6 @@ class SimplicialPoset:
     def le(self, a, b):
         return a in self.below[b]
 
-    def face_with_vertices(self, e, w):
-        """The unique face of e with vertex set w (a subset of V(e))."""
-        return self.face_map[e][frozenset(w)]
-
-    def elements_of_rank(self, k):
-        return tuple(self.by_rank.get(k, ()))
-
     def full_subcomplex(self, w):
         """Subposet of all elements whose vertex set lies inside w."""
         w = {str(v) for v in w}

@@ -5,7 +5,9 @@ internal degree the complex is a finite chain of free modules; the kernel
 at each spot comes from a Smith form of the outgoing map (saturated over
 the integers), the incoming image is rewritten in kernel coordinates, and
 its cokernel structure yields ranks, torsion invariants, and deterministic
-representative cocycles.  When chi is the identity the differential also
+representative cocycles.  Each block keeps its kernel rows by column, so
+the kernel coordinates of a vector cost as much as its few nonzeros, not
+the number of kernel rows.  When chi is the identity the differential also
 preserves the fine multidegree, so each bidegree splits into small blocks
 that are solved independently (method "blocks").  On a simplicial complex
 only the squarefree multidegrees are built: a key (S, t_sigma) with the
@@ -20,13 +22,15 @@ Classes are coordinate vectors over the representatives of one total
 degree, free coordinates first and torsion coordinates reduced mod their
 invariants.  Product tables reduce pairwise products of representatives;
 a Hochster-style oracle recomputes moment-angle ranks from the reduced
-cohomology of full subcomplexes, and uct_report cross-checks the mod-p
-tables against the rational and integral ones.
+cohomology of full subcomplexes, euler_oracle gives the alternating rank
+sum of every internal degree from the f-vector alone, for every chi, and
+uct_report cross-checks the mod-p tables against the rational and
+integral ones.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 from .exactalg import CoefficientRing, ExactMatrix
 from .facering import FaceRing
@@ -41,19 +45,6 @@ def _has_monomials(face, d):
     """Whether the face ring has standard monomials of degree d: 1 in
     degree 0, and t_v^(d/2) in every positive even degree."""
     return d == 0 or (d > 0 and d % 2 == 0 and bool(face.poset.vertices))
-
-
-def _row_dot(ring, row, vec):
-    acc = 0
-    if len(row) > len(vec):
-        row, vec = vec, row
-    for j, a in row.items():
-        b = vec.get(j)
-        if b:
-            acc += a * b
-    if ring.modulus:
-        acc %= ring.modulus
-    return acc
 
 
 def _canonical_invariants(invs):
@@ -74,7 +65,7 @@ class _Block:
     """One multidegree block of a bidegree: basis keys, kernel data, and
     the cokernel of the incoming image in kernel coordinates."""
 
-    __slots__ = ("keys", "index", "kernel_rows", "kernel_cols", "coker",
+    __slots__ = ("keys", "index", "kernel_by_col", "kernel_cols", "coker",
                  "incoming", "image", "modulus")
 
     def __init__(self, ring, keys, out_index, incoming, dvec):
@@ -94,8 +85,11 @@ class _Block:
         a_out = ExactMatrix.from_columns(cols, len(out_index), ring)
         sf = a_out.smith_normal_form(want=("V", "Vinv"))
         r = sf.rank
-        self.kernel_rows = [dict(sf.Vinv.rows.get(i, {}))
-                            for i in range(r, len(keys))]
+        # the kernel rows Vinv[r:] by column: {j: [(i - r, value), ...]}
+        self.kernel_by_col = {}
+        for i in range(r, len(keys)):
+            for j, a in sf.Vinv.rows.get(i, {}).items():
+                self.kernel_by_col.setdefault(j, []).append((i - r, a))
         vcols = sf.V.columns()
         self.kernel_cols = [vcols.get(j, {}) for j in range(r, len(keys))]
         dim_ker = len(keys) - r
@@ -137,9 +131,17 @@ class _Block:
         return out
 
     def kernel_coords(self, ring, w_local):
+        """Coordinates Vinv[r:] w of a local vector in the kernel basis, as
+        {i: value} with ascending keys: the sum of w_j times the kernel
+        column j over the support of w, reduced at the end."""
+        acc = {}
+        for j, b in w_local.items():
+            for i, a in self.kernel_by_col.get(j, ()):
+                acc[i] = acc.get(i, 0) + a * b
+        mod = ring.modulus
         y = {}
-        for i, row in enumerate(self.kernel_rows):
-            v = _row_dot(ring, row, w_local)
+        for i in sorted(acc):
+            v = acc[i] % mod if mod else acc[i]
             if v:
                 y[i] = v
         return y
@@ -312,10 +314,6 @@ class TorTable:
     def torsion_table(self):
         return {bd: e.torsion for bd, e in sorted(self.entries.items())
                 if e.torsion}
-
-    def total_rank(self, total):
-        return sum(e.free_rank for bd, e in self.entries.items()
-                   if bd[1] + bd[0] == total)
 
     def total_ranks(self):
         """Free rank per total degree, zero degrees omitted."""
@@ -807,6 +805,34 @@ def hochster_oracle(data, ring, bound=None):
             bd = (-k, 2 * m)
             out[bd] = out.get(bd, 0) + h
     return dict(sorted(out.items()))
+
+
+def euler_oracle(data, bound=None):
+    """Independent rank check for every chi, complexes and posets alike:
+    for each even internal degree t <= bound (default as in compute_tor),
+    sum_k (-1)^k C(n, k) dim k[P]_{t-2k}, the Euler characteristic of the
+    degree-t strand of the Koszul complex.  It equals the alternating sum
+    over k of the free ranks at (-k, t), over every ring.  The Hilbert
+    function comes from the f-vector: dim k[P]_0 = 1 and dim k[P]_{2d} is
+    the sum over faces sigma != 0 of C(d - 1, rank sigma - 1).  Internal
+    degrees above the bound are left out, because the table is cut by
+    total degree there.  Returns {t: value}, zero values omitted."""
+    if bound is None:
+        bound = len(data.vertices) + data.n
+    f = {r: len(es) for r, es in data.poset.by_rank.items() if r}
+
+    def hilbert(d):
+        if d == 0:
+            return 1
+        return sum(count * comb(d - 1, r - 1) for r, count in f.items())
+
+    out = {}
+    for t in range(0, bound + 1, 2):
+        chi = sum((-1) ** k * comb(data.n, k) * hilbert(t // 2 - k)
+                  for k in range(min(data.n, t // 2) + 1))
+        if chi:
+            out[t] = chi
+    return out
 
 
 def uct_report(data, p, bound=None):

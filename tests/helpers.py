@@ -1,5 +1,8 @@
 """Shared strategies and small builders for the test suite."""
 
+from itertools import combinations
+from math import gcd
+
 from hypothesis import assume
 import hypothesis.strategies as st
 
@@ -62,7 +65,6 @@ def small_complex_facets(draw, max_vertices=5, max_facets=6):
 
 
 def _primitive_vectors(n, bound=2):
-    from math import gcd
     out = []
 
     def rec(prefix):
@@ -81,6 +83,7 @@ def _primitive_vectors(n, bound=2):
 
 
 _PRIMITIVE = {n: _primitive_vectors(n) for n in (1, 2, 3)}
+_PRIMITIVE_SMALL = {n: _primitive_vectors(n, 1) for n in (2, 3)}
 
 
 @st.composite
@@ -112,3 +115,73 @@ def rp2_facets():
             ["1", "2", "6"], ["1", "5", "6"], ["2", "3", "5"],
             ["2", "4", "5"], ["2", "4", "6"], ["3", "4", "6"],
             ["3", "5", "6"]]
+
+
+def _extends_to_basis(vectors):
+    """Whether integer vectors are part of a lattice basis: the gcd of
+    their maximal minors, expanded by cofactors, is 1."""
+    def det(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        return sum((-1) ** j * rows[0][j]
+                   * det([r[:j] + r[j + 1:] for r in rows[1:]])
+                   for j in range(len(rows)))
+
+    k, n = len(vectors), len(vectors[0])
+    g = 0
+    for cols in combinations(range(n), k):
+        g = gcd(g, det([[v[c] for c in cols] for v in vectors]))
+    return g == 1
+
+
+@st.composite
+def small_poset_data(draw, max_vertices=4, n_max=3, max_copies=2):
+    """Characteristic data on a random simplicial poset in the style of
+    the doubled polygons: every vertex pair whose chi vectors extend to a
+    lattice basis gets up to max_copies parallel edges, and in rank 3 the
+    triangle abc may get two parallel 2-faces.  Random chi, up to two
+    ghost vertices; often not a complex."""
+    n = draw(st.integers(2, n_max))
+    nv = draw(st.integers(2, max_vertices))
+    verts = [chr(97 + i) for i in range(nv)]
+    ambient = verts + ["z%d" % i for i in range(draw(st.integers(0, 2)))]
+    chi = {v: draw(st.sampled_from(_PRIMITIVE_SMALL[n])) for v in ambient}
+    triangle = n == 3 and nv >= 3 and draw(st.booleans())
+    if triangle:  # chi on a, b, c spans the lattice
+        chi["a"], chi["b"] = (1, 0, 0), (0, 1, 0)
+        chi["c"] = draw(st.sampled_from(
+            [x for x in _PRIMITIVE_SMALL[3] if x[2] in (1, -1)]))
+    sides = list(combinations("abc", 2)) if triangle else []
+    items = [("0", [], [])] + [(v, [v], ["0"]) for v in verts]
+    edges = {}
+    for a, b in combinations(verts, 2):
+        if _extends_to_basis([chi[a], chi[b]]):
+            least = 1 if (a, b) in sides else 0
+            copies = draw(st.integers(least, max_copies)
+                          | st.just(max_copies))
+            edges[(a, b)] = ["%s%s%d" % (a, b, i) for i in range(copies)]
+            items += [(e, [a, b], [a, b]) for e in edges[(a, b)]]
+    if triangle:
+        covers = [edges[pair][0] for pair in sides]
+        items += [("T%d" % i, ["a", "b", "c"], covers) for i in range(2)]
+    poset = SimplicialPoset.from_elements(items, vertices=verts)
+    data = CharacteristicData(poset, ambient, chi, n)
+    assert data.validate() == []
+    return data
+
+
+# The quotient-large document of the quotient-cli benchmark at its default
+# seed: a partial quotient on six vertices in a rank-4 lattice, one large
+# Smith form per bidegree.
+QUOTIENT_LARGE = {
+    "name": "quotient-large", "lattice_rank": 4,
+    "vertices": [{"id": "x1", "chi": [1, 0, 0, 0]},
+                 {"id": "x2", "chi": [0, 1, -1, 0]},
+                 {"id": "x3", "chi": [0, 0, 0, -1]},
+                 {"id": "x4", "chi": [-1, 1, 0, -1]},
+                 {"id": "x5", "chi": [0, 0, -1, 0]},
+                 {"id": "x6", "chi": [0, 0, -1, 0]}],
+    "facets": [["x1", "x2", "x4", "x6"], ["x1", "x2", "x6"], ["x1", "x5"],
+               ["x1", "x5"], ["x2", "x3", "x5"], ["x2", "x3"],
+               ["x1", "x3", "x4"]],
+}

@@ -267,7 +267,8 @@ def test_09_hochster_sample():
     poset = SimplicialPoset.from_facets(cycle_facets(4))
     table = compute_tor(CharacteristicData.moment_angle(poset, name="c4"), QQ)
     _flag(failures, "4-cycle betti numbers",
-          [table.total_rank(t) for t in range(7)], [1, 0, 0, 2, 0, 0, 1])
+          [table.total_ranks().get(t, 0) for t in range(7)],
+          [1, 0, 0, 2, 0, 0, 1])
     _gate("random sample agrees with the subcomplex oracle", failures)
 
 

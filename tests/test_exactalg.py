@@ -15,6 +15,8 @@ from facetor.exactalg import (
 )
 from facetor.torcohomology import compute_tor
 
+from helpers import QUOTIENT_LARGE
+
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
 F3 = CoefficientRing.integers_mod(3)
@@ -603,24 +605,8 @@ def test_cached_pivots_match_full_scan(A):
         assert all(type(v) is Fraction for v in values)
 
 
-# A partial quotient of the kind the quotient-cli benchmark draws: six
-# vertices in a rank-4 lattice, one large Smith form per bidegree.
-QUOTIENT = {
-    "name": "quotient", "lattice_rank": 4,
-    "vertices": [{"id": "x1", "chi": [1, 0, 0, 0]},
-                 {"id": "x2", "chi": [0, 1, -1, 0]},
-                 {"id": "x3", "chi": [0, 0, 0, -1]},
-                 {"id": "x4", "chi": [-1, 1, 0, -1]},
-                 {"id": "x5", "chi": [0, 0, -1, 0]},
-                 {"id": "x6", "chi": [0, 0, -1, 0]}],
-    "facets": [["x1", "x2", "x4", "x6"], ["x1", "x2", "x6"], ["x1", "x5"],
-               ["x1", "x5"], ["x2", "x3", "x5"], ["x2", "x3"],
-               ["x1", "x3", "x4"]],
-}
-
-
 def test_cached_pivots_match_full_scan_on_a_quotient():
-    data = parse_data_document(QUOTIENT)
+    data = parse_data_document(QUOTIENT_LARGE)
     with checked_pivots() as picks:
         table = compute_tor(data, QQ)
     assert len(table.entries) == 24

@@ -361,7 +361,7 @@ def test_pullback_substitution_on_solid_simplex(draw):
     for tau in poset.elements:
         if poset.rank(tau) == 0:
             continue
-        assert fmap.generator_image(tau, ZZ) == \
+        assert fmap({((tau, 1),): 1}, ZZ) == \
             pullback_generator_oracle(fmap, tau, ZZ)
 
 
@@ -370,7 +370,7 @@ def test_pullback_multiset_oracle_on_poset_identity():
     nu, columns = identity_map(fr)
     fmap = FaceRingMap(fr, fr, nu, columns)
     for tau in ("a", "e1", "e2"):
-        assert fmap.generator_image(tau, ZZ) == \
+        assert fmap({((tau, 1),): 1}, ZZ) == \
             pullback_generator_oracle(fmap, tau, ZZ)
 
 

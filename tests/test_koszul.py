@@ -8,6 +8,7 @@ from facetor.exactalg import CoefficientRing
 from facetor.facering import FaceRing
 from facetor.koszul import (
     TwistData,
+    _add_term,
     bidegree,
     compute_q,
     contract,
@@ -23,11 +24,12 @@ from facetor.koszul import (
 )
 from facetor.simplicial import CharacteristicData, SimplicialPoset
 
-from helpers import cstar2_data, small_characteristic_data
+from helpers import cstar2_data, small_characteristic_data, small_poset_data
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
 F2 = CoefficientRing.integers_mod(2)
+F3 = CoefficientRing.integers_mod(3)
 
 ONE = {((), ()): 1}
 
@@ -204,6 +206,60 @@ def test_differential_bidegree_shift(data, draw):
         bd = bidegree(data.poset, key)
         assert (bd[0] - 1, bd[1]) in bidegs
         assert total_degree(data.poset, key) == d + 1
+
+
+def differential_per_key(z, data, ring, face):
+    """The differential as one FaceRing.multiply per key, vertex and ring:
+    the reference for the cached integer vertex products."""
+    out = {}
+    mod = ring.modulus
+    for (S, mono), c in z.items():
+        if not S:
+            continue
+        for v in data.poset.vertices:
+            terms = contract(data.chi[v], S)
+            if not terms:
+                continue
+            tv = {face.t_vertex(v): ring.one()}
+            prod = face.multiply({mono: c}, tv, ring)
+            for coef, S1 in terms:
+                for m1, c1 in prod.items():
+                    _add_term(out, (S1, m1), -coef * c1, mod)
+    return out
+
+
+def _coefficients(ring):
+    """Non-unit coefficients as callers pass them: Fractions over QQ,
+    unreduced integers over Z/p."""
+    if ring is QQ:
+        return st.one_of(st.integers(-3, 3),
+                         st.fractions(-3, 3, max_denominator=4))
+    return st.integers(-4, 4)
+
+
+@given(st.one_of(small_characteristic_data(), small_poset_data()),
+       st.sampled_from((QQ, ZZ, F3)), st.data())
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+def test_differential_matches_multiply_per_key(data, ring, draw):
+    face, reference_face = FaceRing(data.poset), FaceRing(data.poset)
+    for _ in range(2):  # the second round reads the filled product memo
+        d = draw.draw(st.integers(1, 4))
+        basis = total_degree_basis(data, d, face)
+        if not basis:
+            continue
+        keys = draw.draw(st.lists(st.sampled_from(basis), min_size=1,
+                                  max_size=4, unique=True))
+        z = {key: draw.draw(_coefficients(ring)) for key in keys}
+        for w in [z] + [{key: ring.one()} for key in keys]:
+            got = differential(w, data, ring, face)
+            want = differential_per_key(w, data, ring, reference_face)
+            assert list(got.items()) == list(want.items())
+            assert [type(c) for c in got.values()] == \
+                [type(c) for c in want.values()]
+            if ring is QQ:
+                assert all(type(c) is Fraction for c in got.values())
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,9 @@ def test_from_facets_triangle():
     assert p.rank("{a,b}") == 2
     assert p.le("{a}", "{a,b}")
     assert not p.le("{c}", "{a,b}")
-    assert p.face_with_vertices("{a,b}", {"a"}) == "{a}"
+    assert p.face_map["{a,b}"][frozenset({"a"})] == "{a}"
     assert set(p.covers["{a,b}"]) == {"{a}", "{b}"}
-    assert p.elements_of_rank(1) == ("{a}", "{b}", "{c}")
+    assert tuple(p.by_rank[1]) == ("{a}", "{b}", "{c}")
 
 
 def test_from_facets_respects_vertex_order():
@@ -62,7 +62,7 @@ def test_double_edge_poset():
     assert not p.is_complex
     assert set(p.maximal) == {"e1", "e2"}
     assert p.le("a", "e1") and p.le("a", "e2")
-    assert p.face_with_vertices("e1", {"a", "b"}) == "e1"
+    assert p.face_map["e1"][frozenset({"a", "b"})] == "e1"
 
 
 def test_poset_validation_errors():

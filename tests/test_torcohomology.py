@@ -1,25 +1,30 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from facetor.documents import parse_data_document
 from facetor.exactalg import CoefficientRing, ExactMatrix
-from facetor.facering import FaceRing
-from facetor.koszul import (TwistData, compute_q, differential, star_product,
-                            total_degree_basis, wedge_product)
+from facetor.facering import FaceRing, monomial_degree
+from facetor.koszul import (TwistData, bidegree_basis, compute_q,
+                            differential, star_product, total_degree_basis,
+                            wedge_product)
 from facetor.simplicial import CharacteristicData, SimplicialPoset
-from facetor.torcohomology import (_canonical_invariants, compare_products,
-                                   compute_tor, format_class,
+from facetor.torcohomology import (_Block, _canonical_invariants,
+                                   compare_products, compute_tor,
+                                   euler_oracle, format_class,
                                    hochster_oracle, product_table, reduce,
                                    uct_report)
 
-from helpers import (cstar2_data, cycle_facets, rp2_facets,
-                     small_characteristic_data,
-                     small_complex_facets, solid_simplex, two_points_classes)
+from helpers import (QUOTIENT_LARGE, cstar2_data, cycle_facets, rp2_facets,
+                     small_characteristic_data, small_complex_facets,
+                     small_poset_data, solid_simplex, two_points_classes)
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
 F2 = CoefficientRing.integers_mod(2)
+F3 = CoefficientRing.integers_mod(3)
 
 TWO_POINTS_RANKS = {(0, 0): 1, (-1, 2): 2, (0, 2): 1,
                     (-2, 4): 1, (-1, 4): 2, (-2, 6): 1}
@@ -328,7 +333,7 @@ def multidegrees_by_bidegree(table):
                 mu[i - 1] += 1
             for p, e in enumerate(face.exponent_vector(mono)):
                 mu[pos[p]] += e
-            bd = (-len(S), face.degree_of(mono) + 2 * len(S))
+            bd = (-len(S), monomial_degree(face.poset, mono) + 2 * len(S))
             out.setdefault(bd, set()).add(tuple(mu))
     return out
 
@@ -484,3 +489,128 @@ def test_mod_p_representatives_and_witnesses_are_reduced():
                 witness = table.coboundary_witness(z)
                 assert all(c in range(p) for c in witness.values())
                 assert differential(witness, data, ring, face) == z
+
+
+def kernel_coords_by_rows(ring, rows, w):
+    """Kernel coordinates as one dot product per kernel row Vinv[r + i],
+    each reduced mod p: the reference for the column-wise kernel_coords."""
+    y = {}
+    for i, row in enumerate(rows):
+        a_vec, b_vec = (w, row) if len(row) > len(w) else (row, w)
+        acc = 0
+        for j, a in a_vec.items():
+            b = b_vec.get(j)
+            if b:
+                acc += a * b
+        if ring.modulus:
+            acc %= ring.modulus
+        if acc:
+            y[i] = acc
+    return y
+
+
+def _random_value(rng, ring):
+    """A nonzero coefficient as reduce may pass it: unreduced over Z/p."""
+    if ring is QQ:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4)) or 1
+    return rng.randint(-5, 5) or 1
+
+
+def _check_kernel_coords(rng, ring, block, rows, vectors):
+    for _ in range(8):
+        support = rng.sample(range(len(block.keys)),
+                             min(len(block.keys), rng.randint(1, 5)))
+        vectors.append({pos: _random_value(rng, ring) for pos in support})
+    for w in vectors:
+        got = block.kernel_coords(ring, w)
+        want = kernel_coords_by_rows(ring, rows, w)
+        assert got == want
+        assert list(got) == sorted(got)
+        assert [type(c) for c in got.values()] == \
+            [type(c) for c in want.values()]
+
+
+def _kernel_rows(matrix, nkeys):
+    sf = matrix.smith_normal_form(want=("V", "Vinv"))
+    return [dict(sf.Vinv.rows.get(i, {})) for i in range(sf.rank, nkeys)]
+
+
+def test_kernel_coords_match_row_dots_on_a_quotient():
+    data = parse_data_document(QUOTIENT_LARGE)
+    rng = random.Random(6)
+    for ring in (QQ, ZZ, F3):
+        table = compute_tor(data, ring)
+        assert table.method == "bidegree" and len(table.entries) == 24
+        face = table.face
+
+        def dvec(key):
+            return differential({key: ring.one()}, data, ring, face)
+
+        for (j, t), entry in table.entries.items():
+            (block,) = entry.blocks
+            out = {key: i for i, key in
+                   enumerate(bidegree_basis(face, data.n, -j - 1, t))}
+            cols = [{out[key2]: c for key2, c in dvec(key).items()}
+                    for key in block.keys]
+            rows = _kernel_rows(ExactMatrix.from_columns(cols, len(out), ring),
+                                len(block.keys))
+            _check_kernel_coords(rng, ring, block, rows, [
+                block.local(dvec(key)) for key in block.incoming])
+
+
+def test_kernel_coords_match_row_dots_on_random_matrices():
+    # on the quotient every kernel row is a unit vector; random integer
+    # matrices also give kernel columns with several entries
+    rng = random.Random(7)
+    several = 0
+    for _ in range(300):
+        ring = rng.choice((QQ, ZZ, F3))
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        cols = [{i: ring.convert(rng.randint(-6, 6)) for i in range(nrows)
+                 if rng.random() < 0.6} for _ in range(ncols)]
+        cols = [{i: c for i, c in col.items() if c} for col in cols]
+        block = _Block(ring, tuple(range(ncols)),
+                       {i: i for i in range(nrows)}, (), cols.__getitem__)
+        several += any(len(col) > 1 for col in block.kernel_by_col.values())
+        rows = _kernel_rows(ExactMatrix.from_columns(cols, nrows, ring), ncols)
+        _check_kernel_coords(rng, ring, block, rows, [])
+    assert several >= 3
+
+
+def euler_characteristics(table):
+    """{t: sum over k of (-1)^k times the free rank at (-k, t)} for the
+    internal degrees t up to the table bound, zero values omitted."""
+    out = {}
+    for (j, t), entry in sorted(table.entries.items()):
+        if t <= table.bound:
+            out[t] = out.get(t, 0) + (-1) ** -j * entry.free_rank
+    return {t: v for t, v in out.items() if v}
+
+
+def test_euler_oracle_known_values():
+    # P^2: the h-vector (1, 1, 1) in internal degrees 0, 2, 4
+    p2 = CharacteristicData.from_fan([[1, 0], [0, 1], [-1, -1]],
+                                     [[0, 1], [1, 2], [2, 0]])
+    assert euler_oracle(p2) == {0: 1, 2: 1, 4: 1}
+    assert euler_oracle(p2, 2) == {0: 1, 2: 1}
+    data = parse_data_document(QUOTIENT_LARGE)
+    assert euler_oracle(data) == {0: 1, 2: 2, 6: -4, 8: 2}
+    for ring in (QQ, ZZ, F3):
+        assert euler_characteristics(compute_tor(p2, ring)) == \
+            euler_oracle(p2)
+        assert euler_characteristics(compute_tor(data, ring)) == \
+            euler_oracle(data)
+
+
+@given(st.one_of(small_characteristic_data(max_vertices=4),
+                 small_poset_data()),
+       st.sampled_from((QQ, ZZ, F2, F3)), st.data())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+def test_euler_oracle_matches_tables(data, ring, draw):
+    default = len(data.vertices) + data.n
+    bound = draw.draw(st.integers(0, default) | st.just(default))
+    oracle = euler_oracle(data, bound)
+    assert all(t <= bound for t in oracle)
+    assert euler_characteristics(compute_tor(data, ring, bound)) == oracle
