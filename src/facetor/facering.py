@@ -7,16 +7,20 @@ ring.  A monomial is stored as a tuple of (element id, exponent) pairs in
 chain order, the empty tuple being 1, and a ring element is a dict
 {monomial: coefficient}.  Generator t_s has degree 2 * rank(s).
 
-Products and pullbacks are resolved against this basis through the joint
-restriction to the polynomial rings of the maximal faces, which is
-injective; the per-degree solver is prepared once over QQ and reused, with
-results converted back into the requested coefficient ring.  Products on
-simplicial complexes instead take a closed-form path through exponent
-vectors.  The structure constants are integers, so vertex products t_v m
-are memoised once per face ring with integer coefficients.  Pullbacks
-have one route, restriction and gluing, on complexes and posets alike:
-restrictions that do not glue raise LimitPresentationError rather than
-giving a value.
+The structure constants a * b of two standard monomials are integers and
+do not depend on the coefficient ring, so each face ring keeps one memo
+of them, monomial_product, filled pair by pair: on a simplicial complex
+by adding exponent vectors, on a poset by resolving the restrictions to
+the maximal faces over ZZ.  multiply is the bilinear extension of that
+memo on complexes and posets alike.
+
+Pullbacks, and the poset products the memo is filled with, are resolved
+against the standard basis through the joint restriction to the
+polynomial rings of the maximal faces, which is injective; the per-degree
+solver is prepared once over QQ and reused, with results converted back
+into the requested coefficient ring.  Pullbacks have one route,
+restriction and gluing, on complexes and posets alike: restrictions that
+do not glue raise LimitPresentationError rather than giving a value.
 """
 
 from __future__ import annotations
@@ -101,13 +105,13 @@ class FaceRing:
     """The face ring of a simplicial poset (coefficients chosen per call)."""
 
     __slots__ = ("poset", "_mono_cache", "_system_cache", "_by_vset",
-                 "_vertex_products")
+                 "_products")
 
     def __init__(self, poset):
         self.poset = poset
         self._mono_cache = {}
         self._system_cache = {}
-        self._vertex_products = {}
+        self._products = {}
         self._by_vset = ({poset.vertex_set[e]: e for e in poset.elements}
                          if poset.is_complex else None)
 
@@ -115,16 +119,24 @@ class FaceRing:
         """The monomial t_v for a vertex id."""
         return ((self.poset.atom[v], 1),)
 
-    def vertex_product(self, v, mono):
-        """t_v * mono as a tuple of (monomial, int) pairs, memoised per
-        (v, mono).  Face-ring structure constants are integers, on posets
-        as on complexes, so one integer product serves every ring."""
-        key = (v, mono)
-        terms = self._vertex_products.get(key)
+    def monomial_product(self, a, b):
+        """a * b for standard monomials a and b, as a tuple of (monomial,
+        int) pairs, memoised per ordered pair.  On a complex the product
+        is the monomial of the summed exponent vectors, or zero when its
+        support is not a face; on a poset it is the restriction solve
+        over ZZ."""
+        key = (a, b)
+        terms = self._products.get(key)
         if terms is None:
-            terms = tuple(self.multiply({mono: 1}, {self.t_vertex(v): 1},
-                                        _ZZ).items())
-            self._vertex_products[key] = terms
+            if self._by_vset is not None:
+                mono = self.monomial_from_exponents(tuple(
+                    x + y for x, y in zip(self.exponent_vector(a),
+                                          self.exponent_vector(b))))
+                terms = () if mono is None else ((mono, 1),)
+            else:
+                terms = tuple(self._resolve(
+                    self._product_restrictions({a: 1}, {b: 1}), _ZZ).items())
+            self._products[key] = terms
         return terms
 
     def basis_of_degree(self, d):
@@ -216,36 +228,25 @@ class FaceRing:
         return tuple(reversed(chain))
 
     def multiply(self, f, g, ring):
-        """Product of two elements with coefficients in ring."""
-        if not f or not g:
-            return {}
-        if self.poset.is_complex:
-            return self._multiply_complex(f, g, ring)
-        return self._resolve(self._product_restrictions(f, g), ring)
-
-    def _multiply_complex(self, f, g, ring):
+        """Product of two elements with coefficients in ring: the bilinear
+        extension of monomial_product."""
         mod = ring.modulus
         out = {}
-        vecs_f = [(self.exponent_vector(m), m, c) for m, c in f.items()]
-        vecs_g = [(self.exponent_vector(m), m, c) for m, c in g.items()]
-        for a, _, ca in vecs_f:
-            for b, _, cb in vecs_g:
+        for a, ca in f.items():
+            for b, cb in g.items():
                 c = ca * cb
                 if mod:
                     c %= mod
                 if not c:
                     continue
-                mono = self.monomial_from_exponents(
-                    tuple(x + y for x, y in zip(a, b)))
-                if mono is None:
-                    continue
-                w = out.get(mono, 0) + c
-                if mod:
-                    w %= mod
-                if w:
-                    out[mono] = w
-                else:
-                    del out[mono]
+                for mono, k in self.monomial_product(a, b):
+                    w = out.get(mono, 0) + (c if k == 1 else c * k)
+                    if mod:
+                        w %= mod
+                    if w:
+                        out[mono] = w
+                    else:
+                        out.pop(mono, None)
         return out
 
     def _product_restrictions(self, f, g):

@@ -7,9 +7,13 @@ term (S, m) has bidegree (-|S|, deg m + 2|S|) and total degree |S| + deg m.
 
 The differential d = -sum_v iota(x_v) tensor t_v contracts against the
 characteristic vectors and multiplies by the vertex generators; ghost
-vertices drop out since their t_v is zero.  The products t_v m are read
-from the face ring's memo of integer vertex products and scaled into the
-coefficient ring, so each one is multiplied out once per face ring.
+vertices drop out since their t_v is zero.  Its structure constants are
+integers that do not depend on the coefficient ring, so the column of a
+key (S, m) is built once as {(S', m'): int}: the contraction terms come
+from a cache per index set S, the products m * t_v from the face ring's
+integer product memo.  differential is the linear extension of these
+columns, with the coefficients in the ring; a TorTable keeps the columns
+of its keys, so each one is built once per table.
 
 The twisted product extends the generator rule
 a*b = ab + sum_{i>=j} a(x_i)b(x_j) q_ij by Clifford normal ordering, with
@@ -164,30 +168,65 @@ def compute_q(data):
     return TwistData(data.n, q)
 
 
-def differential(z, data, ring, face=None):
+def _contraction_terms(data, face, S):
+    """The terms of d(a_S) = -sum_v iota(x_v)(a_S) t_v: (t_v, ((-c, S'),
+    ...)) for each poset vertex v with a nonzero contraction."""
+    out = []
+    for v in data.poset.vertices:
+        terms = contract(data.chi[v], S)
+        if terms:
+            out.append((face.t_vertex(v),
+                        tuple((-c, S1) for c, S1 in terms)))
+    return tuple(out)
+
+
+def integer_column(key, data, face, contractions):
+    """d(a_S tensor m) as {(S', m'): int}, summed in the loop order
+    vertices, contraction terms, product terms.  On a basis key each
+    (S', m') arises once (the vertex fixes the multidegree of m', the
+    contracted index fixes S'), so reducing mod p later keeps the key
+    order a column built mod p has.  contractions is a cache {S: terms
+    of d(a_S)}, read and filled."""
+    S, mono = key
+    terms = contractions.get(S)
+    if terms is None:
+        terms = contractions[S] = _contraction_terms(data, face, S)
+    col = {}
+    for tv, cterms in terms:
+        prod = face.monomial_product(mono, tv)
+        for c, S1 in cterms:
+            for m1, k in prod:
+                key2 = (S1, m1)
+                w = col.get(key2, 0) + c * k
+                if w:
+                    col[key2] = w
+                else:
+                    del col[key2]
+    return col
+
+
+def differential(z, data, ring, face=None, columns=None):
     """d(a_S tensor m) = -sum_v iota(x_v)(a_S) tensor t_v m.
 
-    The products t_v m come from the face ring's cached integer vertex
-    products, scaled by the coefficient in ring; c * ring.one() keeps QQ
-    values Fractions."""
-    if face is None:
-        face = FaceRing(data.poset)
+    The linear extension of the integer columns (integer_column), read
+    from columns (a callable key -> column, as a TorTable passes its
+    cache) or built for this call; c * ring.one() keeps QQ values
+    Fractions."""
+    if columns is None:
+        if face is None:
+            face = FaceRing(data.poset)
+        contractions = {}
+
+        def columns(key):
+            return integer_column(key, data, face, contractions)
+
     out = {}
     mod = ring.modulus
     one = ring.one()
-    for (S, mono), c in z.items():
-        if not S:
-            continue
+    for key, c in z.items():
         c = c * one
-        for v in data.poset.vertices:
-            terms = contract(data.chi[v], S)
-            if not terms:
-                continue
-            prod = face.vertex_product(v, mono)
-            for coef, S1 in terms:
-                scale = -coef * c
-                for m1, k in prod:
-                    _add_term(out, (S1, m1), scale * k, mod)
+        for key2, k in columns(key).items():
+            _add_term(out, key2, c * k, mod)
     return out
 
 

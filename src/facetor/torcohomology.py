@@ -5,9 +5,13 @@ internal degree the complex is a finite chain of free modules; the kernel
 at each spot comes from a Smith form of the outgoing map (saturated over
 the integers), the incoming image is rewritten in kernel coordinates, and
 its cokernel structure yields ranks, torsion invariants, and deterministic
-representative cocycles.  Each block keeps its kernel rows by column, so
-the kernel coordinates of a vector cost as much as its few nonzeros, not
-the number of kernel rows.  When chi is the identity the differential also
+representative cocycles.  The table owns one cache of the integer Koszul
+columns of its keys (koszul.integer_column); each column is built once
+and converted into the ring when a block's matrix is built, and the
+cocycle check of reduce and the blocks built on demand read the same
+cache.  Each block keeps its kernel rows by column, so the kernel
+coordinates of a vector cost as much as its few nonzeros, not the number
+of kernel rows.  When chi is the identity the differential also
 preserves the fine multidegree, so each bidegree splits into small blocks
 that are solved independently (method "blocks").  On a simplicial complex
 only the squarefree multidegrees are built: a key (S, t_sigma) with the
@@ -35,8 +39,8 @@ from math import comb, gcd
 from .exactalg import CoefficientRing, ExactMatrix
 from .facering import FaceRing
 from .koszul import (TwistData, bidegree, bidegree_basis, compute_q,
-                     differential, element_total_degree, monomial_degree,
-                     star_product, wedge_product)
+                     differential, element_total_degree, integer_column,
+                     monomial_degree, star_product, wedge_product)
 
 _ZZ = CoefficientRing.integers()
 
@@ -69,6 +73,8 @@ class _Block:
                  "incoming", "image", "modulus")
 
     def __init__(self, ring, keys, out_index, incoming, dvec):
+        # dvec(key) is the differential of a key, with ring or integer
+        # values: from_columns and kernel_coords bring them into the ring
         self.modulus = ring.modulus
         self.keys = keys
         self.index = {key: i for i, key in enumerate(keys)}
@@ -285,19 +291,31 @@ class TorTable:
     multidegree blocks (identity chi on a simplicial complex)."""
 
     __slots__ = ("data", "ring", "bound", "method", "squarefree", "face",
-                 "entries", "_layouts", "_monomials", "_skipped")
+                 "entries", "_layouts", "_monomials", "_skipped",
+                 "_columns", "_contractions")
 
-    def __init__(self, data, ring, bound, method, squarefree, face, entries):
+    def __init__(self, data, ring, bound, method, squarefree, face):
         self.data = data
         self.ring = ring
         self.bound = bound
         self.method = method
         self.squarefree = squarefree
         self.face = face
-        self.entries = entries
+        self.entries = {}
         self._layouts = {}
         self._monomials = {}
         self._skipped = {}
+        self._columns = {}
+        self._contractions = {}
+
+    def column(self, key):
+        """The integer Koszul column d(key) as {key: int}, built once per
+        table (koszul.integer_column)."""
+        col = self._columns.get(key)
+        if col is None:
+            col = self._columns[key] = integer_column(
+                key, self.data, self.face, self._contractions)
+        return col
 
     def rank(self, bidegree):
         entry = self.entries.get(bidegree)
@@ -394,7 +412,7 @@ class TorTable:
         if not 0 <= ztotal <= self.bound:
             raise ValueError("total degree %d outside table bound %d"
                              % (ztotal, self.bound))
-        if differential(z, self.data, self.ring, self.face):
+        if differential(z, self.data, self.ring, self.face, self.column):
             raise ValueError("element is not a cocycle")
         layout = self.layout(ztotal)
         coords = [0] * layout.size
@@ -467,16 +485,14 @@ class TorTable:
                              % (mu, bidegree))
         block = self._skipped.get((bidegree, mu))
         if block is None:
-            data, ring, face = self.data, self.ring, self.face
-            poset_pos = _poset_positions(data)
-
-            def dvec(key):
-                return differential({key: ring.one()}, data, ring, face)
-
+            face = self.face
+            poset_pos = _poset_positions(self.data)
             out = _multidegree_keys(face, poset_pos, mu, k - 1)
-            block = _Block(ring, _multidegree_keys(face, poset_pos, mu, k),
+            block = _Block(self.ring,
+                           _multidegree_keys(face, poset_pos, mu, k),
                            {key: i for i, key in enumerate(out)},
-                           _multidegree_keys(face, poset_pos, mu, k + 1), dvec)
+                           _multidegree_keys(face, poset_pos, mu, k + 1),
+                           self.column)
             self._skipped[(bidegree, mu)] = block
         return block
 
@@ -589,20 +605,11 @@ def compute_tor(data, ring, bound=None, method="auto"):
     if bound < 0:
         raise ValueError("bound must be >= 0")
     face = FaceRing(data.poset)
+    table = TorTable(data, ring, bound, "blocks" if use_blocks else "bidegree",
+                     squarefree, face)
     n = data.n
     ambient_pos = [data.vertex_index[v] for v in data.poset.vertices]
     poset_pos = _poset_positions(data)
-
-    memo = {}
-
-    def dvec(key):
-        cached = memo.get(key)
-        if cached is None:
-            cached = differential({key: ring.one()}, data, ring, face)
-            memo[key] = cached
-        return cached
-
-    entries = {}
     for t in range(0, bound + n + 1, 2):
         kmax = min(n, t // 2)
         kmin = max(0, t - bound)
@@ -624,11 +631,10 @@ def compute_tor(data, ring, bound=None, method="auto"):
             blocks = tuple(
                 _Block(ring, here[mu],
                        {key: i for i, key in enumerate(out.get(mu, ()))},
-                       inc.get(mu, ()), dvec)
+                       inc.get(mu, ()), table.column)
                 for mu in sorted(here))
-            entries[(-k, t)] = TorEntry((-k, t), blocks)
-    return TorTable(data, ring, bound, "blocks" if use_blocks else "bidegree",
-                    squarefree, face, entries)
+            table.entries[(-k, t)] = TorEntry((-k, t), blocks)
+    return table
 
 
 def reduce(z, table, total=None):

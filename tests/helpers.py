@@ -185,3 +185,25 @@ QUOTIENT_LARGE = {
                ["x1", "x5"], ["x2", "x3", "x5"], ["x2", "x3"],
                ["x1", "x3", "x4"]],
 }
+
+
+def _doubled_polygon_elements(k):
+    """Boundary of a k-gon with every edge doubled, as document elements."""
+    out = [{"id": "0", "vertices": [], "covers": []}]
+    out += [{"id": "v%d" % i, "vertices": [str(i)], "covers": ["0"]}
+            for i in range(1, k + 1)]
+    for i in range(1, k + 1):
+        j = i % k + 1
+        out += [{"id": "e%d%s" % (i, tag), "vertices": [str(i), str(j)],
+                 "covers": ["v%d" % i, "v%d" % j]} for tag in "ab"]
+    return out
+
+
+# Quotient data on the doubled pentagon, a simplicial poset that is not a
+# complex: the rays of the smooth complete pentagon fan on its vertices.
+DOUBLED_PENTAGON = {
+    "name": "doubled-5-gon", "lattice_rank": 2,
+    "vertices": [{"id": str(i + 1), "chi": chi} for i, chi in enumerate(
+        [[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]])],
+    "elements": _doubled_polygon_elements(5),
+}

@@ -4,23 +4,26 @@ Each test covers one item and prints a single pass/fail line (visible
 with pytest -s, or in the failure report otherwise).  All expected
 values are frozen hand calculations; nothing here is derived from the
 engine under test, except that the random-sample items compare the
-engine against the independent subcomplex oracle.
+engine against the independent subcomplex oracle, and the partial
+quotients against the Euler characteristics of the f-vector.
 """
 
 import random
 
+from facetor.documents import parse_data_document
 from facetor.exactalg import CoefficientRing
 from facetor.koszul import compute_q, star_product, wedge_product
 from facetor.simplicial import CharacteristicData, SimplicialPoset
 from facetor.torcohomology import compare_products, compute_tor, \
-    hochster_oracle, product_table, uct_report
+    euler_oracle, hochster_oracle, product_table, uct_report
 from facetor.toricmorphism import cox_projection, cross_element, \
     diagonal_morphism, hat_q, hat_tor_phi, ideal_I_sigma, lift, omega, \
     power_morphism, tor_phi
 from facetor.examples import basis_change_morphism, data_cstar2, \
     data_cstar2_rebased, rebased_classes, standard_classes
 
-from helpers import cycle_facets, rp2_facets
+from helpers import DOUBLED_PENTAGON, QUOTIENT_LARGE, cycle_facets, \
+    rp2_facets
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
@@ -364,3 +367,53 @@ def test_11_torsion_consistency():
     _flag(failures, "consistency report on the projective plane",
           uct_report(rp2, 2, bound=9), [])
     _gate("field dimensions versus integral torsion", failures)
+
+
+# Smooth complete fans (rays, maximal cones) with their h-vectors.
+FANS = {
+    "P3": ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+           [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], (1, 1, 1, 1)),
+    "dP6": ([[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]],
+            [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]], (1, 4, 1)),
+    "P1xP1xP1": ([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                  [0, 0, 1], [0, 0, -1]],
+                 [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)],
+                 (1, 3, 3, 1)),
+}
+
+
+def test_12_smooth_fans_danilov_jurkiewicz():
+    # H^{2k} of a smooth complete toric variety is free of rank h_k: all
+    # of it sits at (0, 2k), with no torsion
+    failures = []
+    for name, (rays, cones, h) in FANS.items():
+        data = CharacteristicData.from_fan(rays, cones, name=name)
+        want = {(0, 2 * k): hk for k, hk in enumerate(h)}
+        for ring in (QQ, ZZ):
+            table = _cached_tor(name, data, ring)
+            _flag(failures, "ranks of %s over %s" % (name, ring),
+                  table.rank_table(), want)
+            _flag(failures, "torsion of %s over %s" % (name, ring),
+                  table.torsion_table(), {})
+    _gate("smooth fans: ranks are the h-vector", failures)
+
+
+def test_13_euler_oracle_on_partial_quotients():
+    # the alternating rank sum of each internal degree against the one
+    # the f-vector gives, on quotients with ghosts, a large quotient and
+    # a doubled polygon that is not a complex
+    failures = []
+    for data in (data_cstar2(), data_cstar2_rebased(),
+                 parse_data_document(QUOTIENT_LARGE),
+                 parse_data_document(DOUBLED_PENTAGON)):
+        oracle = euler_oracle(data)
+        for ring in (QQ, ZZ, F2):
+            table = _cached_tor(data.name, data, ring)
+            got = {}
+            for (j, t), entry in table.entries.items():
+                if t <= table.bound:
+                    got[t] = got.get(t, 0) + (-1) ** -j * entry.free_rank
+            _flag(failures, "Euler characteristics of %s over %s"
+                  % (data.name, ring), {t: v for t, v in got.items() if v},
+                  oracle)
+    _gate("Euler characteristics match the f-vector", failures)

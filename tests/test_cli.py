@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from facetor.examples import basis_change_morphism, data_cstar2, \
 from facetor.simplicial import same_data
 from facetor.toricmorphism import ToricMorphism
 
-from helpers import rp2_facets
+from helpers import DOUBLED_PENTAGON, rp2_facets
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +37,7 @@ def docs(tmp_path):
         "cp1": write(tmp_path, "cp1.json",
                      {"name": "cp1",
                       "fan": {"rays": [[1], [-1]], "cones": [[0], [1]]}}),
+        "pentagon": write(tmp_path, "pentagon.json", DOUBLED_PENTAGON),
         "bad": write(tmp_path, "bad.json",
                      {"name": "bad", "lattice_rank": 2,
                       "vertices": [{"id": "v", "chi": [2, 0]}],
@@ -311,6 +313,100 @@ def test_mult_twisted_and_untwisted(capsys, docs):
     rc, out, _ = run_cli(capsys, "mult", docs["cstar2"], "--untwisted")
     assert rc == 0
     assert "g(-1,2;0) * g(-1,2;1) = g(-2,4;0)" in out
+
+
+# Products on the doubled pentagon, a simplicial poset that is not a
+# complex, captured before poset products were read from the integer
+# product memo.  Every class lies in j = 0, so the twisted and untwisted
+# products agree here.
+MULT_DOUBLED_PENTAGON = """\
+twisted products for doubled-5-gon over QQ (total degree <= 7)
+g(0,0;0) * g(0,0;0) = g(0,0;0)
+g(0,0;0) * g(0,2;0) = g(0,2;0)
+g(0,0;0) * g(0,2;1) = g(0,2;1)
+g(0,0;0) * g(0,2;2) = g(0,2;2)
+g(0,0;0) * g(0,4;0) = g(0,4;0)
+g(0,0;0) * g(0,4;1) = g(0,4;1)
+g(0,0;0) * g(0,4;2) = g(0,4;2)
+g(0,0;0) * g(0,4;3) = g(0,4;3)
+g(0,0;0) * g(0,4;4) = g(0,4;4)
+g(0,0;0) * g(0,4;5) = g(0,4;5)
+g(0,2;0) * g(0,0;0) = g(0,2;0)
+g(0,2;0) * g(0,2;0) = -g(0,4;4) - g(0,4;5)
+g(0,2;0) * g(0,2;1) = g(0,4;4) + g(0,4;5)
+g(0,2;0) * g(0,2;2) = 0
+g(0,2;0) * g(0,4;0) = 0
+g(0,2;0) * g(0,4;1) = 0
+g(0,2;0) * g(0,4;2) = 0
+g(0,2;0) * g(0,4;3) = 0
+g(0,2;0) * g(0,4;4) = 0
+g(0,2;0) * g(0,4;5) = 0
+g(0,2;1) * g(0,0;0) = g(0,2;1)
+g(0,2;1) * g(0,2;0) = g(0,4;4) + g(0,4;5)
+g(0,2;1) * g(0,2;1) = 0
+g(0,2;1) * g(0,2;2) = g(0,4;4) + g(0,4;5)
+g(0,2;1) * g(0,4;0) = 0
+g(0,2;1) * g(0,4;1) = 0
+g(0,2;1) * g(0,4;2) = 0
+g(0,2;1) * g(0,4;3) = 0
+g(0,2;1) * g(0,4;4) = 0
+g(0,2;1) * g(0,4;5) = 0
+g(0,2;2) * g(0,0;0) = g(0,2;2)
+g(0,2;2) * g(0,2;0) = 0
+g(0,2;2) * g(0,2;1) = g(0,4;4) + g(0,4;5)
+g(0,2;2) * g(0,2;2) = 0
+g(0,2;2) * g(0,4;0) = 0
+g(0,2;2) * g(0,4;1) = 0
+g(0,2;2) * g(0,4;2) = 0
+g(0,2;2) * g(0,4;3) = 0
+g(0,2;2) * g(0,4;4) = 0
+g(0,2;2) * g(0,4;5) = 0
+g(0,4;0) * g(0,0;0) = g(0,4;0)
+g(0,4;0) * g(0,2;0) = 0
+g(0,4;0) * g(0,2;1) = 0
+g(0,4;0) * g(0,2;2) = 0
+g(0,4;1) * g(0,0;0) = g(0,4;1)
+g(0,4;1) * g(0,2;0) = 0
+g(0,4;1) * g(0,2;1) = 0
+g(0,4;1) * g(0,2;2) = 0
+g(0,4;2) * g(0,0;0) = g(0,4;2)
+g(0,4;2) * g(0,2;0) = 0
+g(0,4;2) * g(0,2;1) = 0
+g(0,4;2) * g(0,2;2) = 0
+g(0,4;3) * g(0,0;0) = g(0,4;3)
+g(0,4;3) * g(0,2;0) = 0
+g(0,4;3) * g(0,2;1) = 0
+g(0,4;3) * g(0,2;2) = 0
+g(0,4;4) * g(0,0;0) = g(0,4;4)
+g(0,4;4) * g(0,2;0) = 0
+g(0,4;4) * g(0,2;1) = 0
+g(0,4;4) * g(0,2;2) = 0
+g(0,4;5) * g(0,0;0) = g(0,4;5)
+g(0,4;5) * g(0,2;0) = 0
+g(0,4;5) * g(0,2;1) = 0
+g(0,4;5) * g(0,2;2) = 0
+"""
+
+MULT_DOUBLED_PENTAGON_STRUCTURED_SHA256 = (
+    "d085c9edb5aa3621a654d3a2daaffbdb155030e1829e1c5fe04f22821dbb6c47")
+
+
+def test_mult_poset_frozen(capsys, docs):
+    rc, out, err = run_cli(capsys, "mult", docs["pentagon"], "--twisted")
+    assert (rc, err) == (0, "")
+    assert out == MULT_DOUBLED_PENTAGON
+
+
+def test_mult_poset_structured_frozen(capsys, docs):
+    rc, out, err = run_cli(capsys, "mult", docs["pentagon"], "--untwisted",
+                           "--format", "structured")
+    assert (rc, err) == (0, "")
+    frozen = [tuple(line.replace(" = ", " * ").split(" * "))
+              for line in MULT_DOUBLED_PENTAGON.splitlines()[1:]]
+    assert [(p["left"], p["right"], p["value"])
+            for p in json.loads(out)["products"]] == frozen
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        MULT_DOUBLED_PENTAGON_STRUCTURED_SHA256
 
 
 def test_mult_compare_agreeing(capsys, tmp_path):

@@ -210,7 +210,7 @@ def test_differential_bidegree_shift(data, draw):
 
 def differential_per_key(z, data, ring, face):
     """The differential as one FaceRing.multiply per key, vertex and ring:
-    the reference for the cached integer vertex products."""
+    the reference for the integer Koszul columns."""
     out = {}
     mod = ring.modulus
     for (S, mono), c in z.items():

@@ -1,15 +1,17 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from facetor import exactalg
 from facetor.documents import parse_data_document
 from facetor.exactalg import CoefficientRing, ExactMatrix
-from facetor.facering import FaceRing, monomial_degree
-from facetor.koszul import (TwistData, bidegree_basis, compute_q,
-                            differential, star_product, total_degree_basis,
-                            wedge_product)
+from facetor.facering import FaceRing, convert_element, monomial_degree
+from facetor.koszul import (TwistData, _add_term, bidegree_basis, compute_q,
+                            contract, differential, star_product,
+                            total_degree_basis, wedge_product)
 from facetor.simplicial import CharacteristicData, SimplicialPoset
 from facetor.torcohomology import (_Block, _canonical_invariants,
                                    compare_products, compute_tor,
@@ -17,7 +19,8 @@ from facetor.torcohomology import (_Block, _canonical_invariants,
                                    hochster_oracle, product_table, reduce,
                                    uct_report)
 
-from helpers import (QUOTIENT_LARGE, cstar2_data, cycle_facets, rp2_facets,
+from helpers import (DOUBLED_PENTAGON, QUOTIENT_LARGE, cstar2_data,
+                     cycle_facets, double_edge_poset, rp2_facets,
                      small_characteristic_data, small_complex_facets,
                      small_poset_data, solid_simplex, two_points_classes)
 
@@ -614,3 +617,121 @@ def test_euler_oracle_matches_tables(data, ring, draw):
     oracle = euler_oracle(data, bound)
     assert all(t <= bound for t in oracle)
     assert euler_characteristics(compute_tor(data, ring, bound)) == oracle
+
+
+def smith_call_digest(monkeypatch, data, rings):
+    """(number of calls, SHA-256) over every Smith form compute_tor runs on
+    data over the rings: shape, ring, requested transforms and every
+    entry with its type, in the order the matrix holds them."""
+    calls = []
+    original = exactalg._smith
+
+    def recording(matrix, want):
+        ring = matrix.ring
+        calls.append(repr((matrix.nrows, matrix.ncols, ring.kind,
+                           ring.modulus, tuple(want),
+                           [(i, list(row.items()))
+                            for i, row in matrix.rows.items()])))
+        return original(matrix, want)
+
+    monkeypatch.setattr(exactalg, "_smith", recording)
+    for ring in rings:
+        compute_tor(data, ring)
+    digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
+    return len(calls), digest
+
+
+# Captured before the differential was assembled from integer columns;
+# any change to a key order, a column or an entry type changes them.
+SMITH_DIGESTS = {
+    "quotient-large": (156, "670414e2e08640c38f998757beea41d3"
+                           "2fd4db99fd7106bc4daf5f3816a6ce4a"),
+    "doubled-5-gon": (108, "3beba0f9585cae7b7ea054cc7d4846e6"
+                          "5ddee77c6cc108c434f51634c7ec4a6a"),
+}
+
+
+@pytest.mark.parametrize("doc", [QUOTIENT_LARGE, DOUBLED_PENTAGON],
+                         ids=lambda doc: doc["name"])
+def test_smith_inputs_are_unchanged(monkeypatch, doc):
+    data = parse_data_document(doc)
+    got = smith_call_digest(monkeypatch, data, (QQ, ZZ, F3))
+    assert got == SMITH_DIGESTS[doc["name"]]
+
+
+# ---------------------------------------------------------------------------
+# The integer product memo and the table's column cache.
+
+def restriction_product(face, a, b):
+    """a * b by restriction to the maximal faces, solved over ZZ: the
+    oracle for the face ring's product memo."""
+    return face._resolve(face._product_restrictions({a: 1}, {b: 1}), ZZ)
+
+
+def multiply_per_term(face, f, g, ring):
+    """f * g as one restriction product per pair of terms."""
+    out = {}
+    for a, ca in f.items():
+        for b, cb in g.items():
+            for mono, k in restriction_product(face, a, b).items():
+                _add_term(out, mono, ca * cb * k, ring.modulus)
+    return out
+
+
+def differential_by_restriction(key, data, face, ring):
+    """d(key) over the ring, summed over vertices, contraction terms and
+    product terms in that order, each t_v * m by restriction."""
+    S, mono = key
+    out = {}
+    for v in data.poset.vertices:
+        prod = restriction_product(face, mono, face.t_vertex(v))
+        for c, S1 in contract(data.chi[v], S):
+            for m1, k in prod.items():
+                _add_term(out, (S1, m1), -c * k * ring.one(), ring.modulus)
+    return out
+
+
+def double_edge_data():
+    return CharacteristicData(double_edge_poset(), ["a", "b"],
+                              {"a": (1, 0), "b": (0, 1)}, 2)
+
+
+@st.composite
+def face_ring_elements(draw, face, ring):
+    """Up to three terms of degree 0, 2 or 4 with nonzero coefficients:
+    ints or Fractions over QQ, unreduced ints over Z/p."""
+    monos = [m for d in (0, 2, 4) for m in face.basis_of_degree(d)]
+    keys = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3,
+                         unique=True))
+    coef = (st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+            if ring is QQ else st.integers(-4, 4))
+    return {m: draw(coef.filter(bool)) for m in keys}
+
+
+def _items_and_types(d):
+    return list(d.items()), [type(c) for c in d.values()]
+
+
+@given(st.one_of(small_characteristic_data(), small_poset_data(),
+                 st.builds(double_edge_data)),
+       st.sampled_from((QQ, ZZ, F3)), st.data())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+def test_product_memo_and_columns_match_restriction(data, ring, draw):
+    table = compute_tor(data, ring)
+    face = table.face
+    for _ in range(3):
+        f = draw.draw(face_ring_elements(face, ring))
+        g = draw.draw(face_ring_elements(face, ring))
+        assert _items_and_types(face.multiply(f, g, ring)) == \
+            _items_and_types(multiply_per_term(face, f, g, ring))
+    for (a, b), terms in face._products.items():
+        assert terms == tuple(restriction_product(face, a, b).items())
+        assert all(type(k) is int for _, k in terms)
+    assert table._columns
+    for key, col in table._columns.items():
+        assert all(type(k) is int for k in col.values())
+        assert _items_and_types(convert_element(col, ring)) == \
+            _items_and_types(differential_by_restriction(key, data, face,
+                                                         ring))
