@@ -16,6 +16,7 @@ from .examples import example_names, run_example
 from .exactalg import CoefficientRing
 from .facering import format_element
 from .koszul import compute_q
+from .simplicial import same_data
 from .torcohomology import compare_products, compute_tor, format_class, \
     generator_name, product_table
 from .toricmorphism import hat_q, hat_tor_phi, omega, product_failures, \
@@ -258,8 +259,11 @@ def cmd_map(args):
     phi = _load_morphism([args.source, args.target, args.morphism])
     target_table = compute_tor(phi.target, args.coeffs,
                                bound=args.max_total_degree)
-    source_table = compute_tor(phi.source, args.coeffs,
-                               bound=target_table.bound)
+    if same_data(phi.source, phi.target):
+        source_table = target_table
+    else:
+        source_table = compute_tor(phi.source, args.coeffs,
+                                   bound=target_table.bound)
     variants = []
     if args.variant in ("untwisted", "both"):
         variants.append(("untwisted", tor_phi(phi, target_table, source_table)))

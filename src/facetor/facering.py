@@ -9,18 +9,21 @@ chain order, the empty tuple being 1, and a ring element is a dict
 
 The structure constants a * b of two standard monomials are integers and
 do not depend on the coefficient ring, so each face ring keeps one memo
-of them, monomial_product, filled pair by pair: on a simplicial complex
-by adding exponent vectors, on a poset by resolving the restrictions to
-the maximal faces over ZZ.  multiply is the bilinear extension of that
-memo on complexes and posets alike.
+of them, monomial_product, filled pair by pair in closed form: on a
+simplicial complex by adding exponent vectors, on a poset by Stanley's
+relation t_s * t_t = t_{s meet t} * sum of t_rho over the minimal upper
+bounds rho of s and t, applied until the generators form a chain
+(Stanley, "f-vectors and h-vectors of simplicial posets", JPAA 71, 1991).
+multiply is the bilinear extension of that memo on complexes and posets
+alike.
 
-Pullbacks, and the poset products the memo is filled with, are resolved
-against the standard basis through the joint restriction to the
-polynomial rings of the maximal faces, which is injective; the per-degree
-solver is prepared once over QQ and reused, with results converted back
-into the requested coefficient ring.  Pullbacks have one route,
-restriction and gluing, on complexes and posets alike: restrictions that
-do not glue raise LimitPresentationError rather than giving a value.
+Pullbacks are resolved against the standard basis through the joint
+restriction to the polynomial rings of the maximal faces, which is
+injective; the per-degree solver is prepared once over QQ and reused,
+with results converted back into the requested coefficient ring.
+Pullbacks have one route, restriction and gluing, on complexes and
+posets alike: restrictions that do not glue raise LimitPresentationError
+rather than giving a value.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from fractions import Fraction
 from .exactalg import CoefficientRing, ExactMatrix, PreparedSolver
 
 _QQ = CoefficientRing.rationals()
-_ZZ = CoefficientRing.integers()
 
 
 class LimitPresentationError(RuntimeError):
@@ -105,13 +107,15 @@ class FaceRing:
     """The face ring of a simplicial poset (coefficients chosen per call)."""
 
     __slots__ = ("poset", "_mono_cache", "_system_cache", "_by_vset",
-                 "_products")
+                 "_products", "_joins", "_positions")
 
     def __init__(self, poset):
         self.poset = poset
         self._mono_cache = {}
         self._system_cache = {}
         self._products = {}
+        self._joins = {}
+        self._positions = {}
         self._by_vset = ({poset.vertex_set[e]: e for e in poset.elements}
                          if poset.is_complex else None)
 
@@ -121,10 +125,10 @@ class FaceRing:
 
     def monomial_product(self, a, b):
         """a * b for standard monomials a and b, as a tuple of (monomial,
-        int) pairs, memoised per ordered pair.  On a complex the product
-        is the monomial of the summed exponent vectors, or zero when its
-        support is not a face; on a poset it is the restriction solve
-        over ZZ."""
+        int) pairs in basis_of_degree order, memoised per ordered pair.
+        On a complex the product is the monomial of the summed exponent
+        vectors, or zero when its support is not a face; on a poset it is
+        the straightening of the generators of a and b (_straighten)."""
         key = (a, b)
         terms = self._products.get(key)
         if terms is None:
@@ -134,10 +138,71 @@ class FaceRing:
                                           self.exponent_vector(b))))
                 terms = () if mono is None else ((mono, 1),)
             else:
-                terms = tuple(self._resolve(
-                    self._product_restrictions({a: 1}, {b: 1}), _ZZ).items())
+                gens = tuple(e for mono in (a, b) for e, i in mono
+                             for _ in range(i))
+                pos = self._basis_positions(
+                    monomial_degree(self.poset, a)
+                    + monomial_degree(self.poset, b))
+                terms = tuple(sorted(self._straighten(gens).items(),
+                                     key=lambda term: pos[term[0]]))
             self._products[key] = terms
         return terms
+
+    def _straighten(self, gens):
+        """The product of the generators t_e, e in gens, as {standard
+        monomial: int}: Stanley's relation t_s * t_t = t_{s meet t} * (sum
+        of t_rho over the minimal upper bounds rho of s and t), zero when
+        there is none, replaces an incomparable pair until the generators
+        of every term form a chain; t_bottom is 1."""
+        p = self.poset
+        out = {}
+        stack = [gens]
+        while stack:
+            gens = stack.pop()
+            pair = next(((i, j) for j in range(len(gens)) for i in range(j)
+                         if not (p.le(gens[i], gens[j])
+                                 or p.le(gens[j], gens[i]))), None)
+            if pair is None:
+                counts = {}
+                for e in gens:
+                    counts[e] = counts.get(e, 0) + 1
+                mono = tuple(sorted(counts.items(),
+                                    key=lambda term: p.rank(term[0])))
+                out[mono] = out.get(mono, 0) + 1
+                continue
+            i, j = pair
+            meet, uppers = self._meet_and_joins(gens[i], gens[j])
+            rest = gens[:i] + gens[i + 1:j] + gens[j + 1:] + meet
+            stack.extend(rest + (rho,) for rho in uppers)
+        return out
+
+    def _meet_and_joins(self, s, t):
+        """((s meet t,) or () when the meet is the bottom, the elements of
+        rank |V(s) u V(t)| above s and t), memoised per pair.  The meet
+        lies in the Boolean interval below any common upper bound rho:
+        face_map[rho][V(s) & V(t)]."""
+        key = (s, t)
+        found = self._joins.get(key)
+        if found is None:
+            p = self.poset
+            vs, vt = p.vertex_set[s], p.vertex_set[t]
+            uppers = tuple(rho for rho in p.by_rank.get(len(vs | vt), ())
+                           if s in p.below[rho] and t in p.below[rho])
+            meet = ()
+            if uppers:
+                m = p.face_map[uppers[0]][vs & vt]
+                if m != p.bottom:
+                    meet = (m,)
+            found = self._joins[key] = (meet, uppers)
+        return found
+
+    def _basis_positions(self, d):
+        """{standard monomial: position in basis_of_degree(d)}."""
+        pos = self._positions.get(d)
+        if pos is None:
+            pos = self._positions[d] = {
+                mono: i for i, mono in enumerate(self.basis_of_degree(d))}
+        return pos
 
     def basis_of_degree(self, d):
         """All standard monomials of the given degree, canonically ordered."""
@@ -248,28 +313,6 @@ class FaceRing:
                     else:
                         out.pop(mono, None)
         return out
-
-    def _product_restrictions(self, f, g):
-        """Restrictions of f*g to every maximal face, bucketed by degree as
-        {degree: {(maximal index, exponent tuple): QQ coefficient}}."""
-        fq, gq = _lift(f), _lift(g)
-        h = {}
-        for ti, tau in enumerate(self.poset.maximal):
-            pf = self.restrict(fq, tau)
-            if not pf:
-                continue
-            pg = self.restrict(gq, tau)
-            if not pg:
-                continue
-            prod = {}
-            for a, ca in pf.items():
-                for b, cb in pg.items():
-                    key = tuple(x + y for x, y in zip(a, b))
-                    prod[key] = prod.get(key, 0) + ca * cb
-            for key, c in prod.items():
-                if c:
-                    h.setdefault(2 * sum(key), {})[(ti, key)] = c
-        return h
 
     def _degree_system(self, d):
         """(basis, row index, prepared solver) for the joint restriction of

@@ -17,13 +17,22 @@ of its keys, so each one is built once per table.
 
 The twisted product extends the generator rule
 a*b = ab + sum_{i>=j} a(x_i)b(x_j) q_ij by Clifford normal ordering, with
-the twist values q_ij central face-ring elements.
+the twist values q_ij central face-ring elements.  Since the q_ij are
+central with integer coefficients, a_S * a_T normal-orders to
+sum_U P_U a_U with integer face-ring elements P_U that do not depend on
+the coefficient ring; a TwistData keeps them per face ring and pair
+(S, T), and star_product multiplies them by the products of the
+face-ring parts from the face ring's memo, as wedge_product does with
+the shuffle sign.
 """
 
 from itertools import combinations
 
+from .exactalg import CoefficientRing
 from .facering import FaceRing, convert_element, format_monomial, \
     monomial_degree
+
+_ZZ = CoefficientRing.integers()
 
 
 def bidegree(poset, key):
@@ -119,11 +128,28 @@ class TwistData:
     """Twisting coefficients q_ij for 1 <= j <= i <= n, each a degree-2
     face-ring element with integer coefficients (zeros omitted)."""
 
-    __slots__ = ("n", "q")
+    __slots__ = ("n", "q", "_orderings")
 
     def __init__(self, n, q):
         self.n = n
         self.q = {pair: dict(val) for pair, val in q.items() if val}
+        self._orderings = {}
+
+    def normal_ordering(self, S, T, face):
+        """a_S * a_T normal-ordered over ZZ, as ((U, ((mono, int), ...)),
+        ...): the face-ring coefficient of each a_U, memoised per face
+        ring and pair of index sets."""
+        memo = self._orderings.setdefault(face, {})
+        key = (S, T)
+        found = memo.get(key)
+        if found is None:
+            grouped = {}
+            for (U, mono), k in _normal_order_into(
+                    {}, S + T, {(): 1}, self, _ZZ, face).items():
+                grouped.setdefault(U, []).append((mono, k))
+            found = memo[key] = tuple((U, tuple(terms))
+                                      for U, terms in grouped.items())
+        return found
 
     @classmethod
     def zero(cls, n):
@@ -231,7 +257,8 @@ def differential(z, data, ring, face=None, columns=None):
 
 
 def wedge_product(a, b, ring, face):
-    """Untwisted product: shuffle sign on disjoint index sets, zero else."""
+    """Untwisted product: shuffle sign on disjoint index sets, zero else;
+    the face-ring parts multiply by monomial_product."""
     out = {}
     mod = ring.modulus
     for (S, mf), ca in a.items():
@@ -239,9 +266,10 @@ def wedge_product(a, b, ring, face):
         for (T, mg), cb in b.items():
             if sset & set(T):
                 continue
-            sign = _merge_sign(S, T)
-            for mono, c in face.multiply({mf: ca}, {mg: cb}, ring).items():
-                _add_term(out, (tuple(sorted(S + T)), mono), sign * c, mod)
+            U = tuple(sorted(S + T))
+            c = _merge_sign(S, T) * ca * cb
+            for mono, k in face.monomial_product(mf, mg):
+                _add_term(out, (U, mono), c * k, mod)
     return out
 
 
@@ -251,13 +279,32 @@ def _merge_sign(S, T):
 
 
 def star_product(a, b, q, ring, face):
-    """Twisted product for the given twist, by normal ordering."""
+    """Twisted product for the twist q (a TwistData): for each pair of
+    terms, the integer normal ordering of a_S * a_T (q.normal_ordering)
+    times the product of the face-ring parts, with the integer structure
+    constants summed before the coefficient is applied."""
     out = {}
+    mod = ring.modulus
+    product = face.monomial_product
     for (S, mf), ca in a.items():
         for (T, mg), cb in b.items():
-            base = face.multiply({mf: ca}, {mg: cb}, ring)
-            if base:
-                _normal_order_into(out, S + T, base, q, ring, face)
+            ordering = q.normal_ordering(S, T, face)
+            if not ordering:
+                continue
+            base = product(mf, mg)
+            if not base:
+                continue
+            acc = {}
+            for U, poly in ordering:
+                for m1, k1 in base:
+                    for m2, k2 in poly:
+                        for m3, k3 in product(m1, m2):
+                            key = (U, m3)
+                            acc[key] = acc.get(key, 0) + k1 * k2 * k3
+            c = ca * cb
+            for key, k in acc.items():
+                if k:
+                    _add_term(out, key, c * k, mod)
     return out
 
 

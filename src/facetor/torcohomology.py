@@ -24,7 +24,9 @@ Simplicial posets that are not complexes build every multidegree block.
 
 Classes are coordinate vectors over the representatives of one total
 degree, free coordinates first and torsion coordinates reduced mod their
-invariants.  Product tables reduce pairwise products of representatives;
+invariants; reduce finds the blocks that hold an element's keys through
+an index per entry, and the zero class of each total degree is built
+once.  Product tables reduce pairwise products of representatives;
 a Hochster-style oracle recomputes moment-angle ranks from the reduced
 cohomology of full subcomplexes, euler_oracle gives the alternating rank
 sum of every internal degree from the f-vector alone, for every chi, and
@@ -156,11 +158,13 @@ class _Block:
 class TorEntry:
     """Cohomology of one bidegree: rank, torsion, and representatives."""
 
-    __slots__ = ("bidegree", "blocks", "free_rank", "torsion", "generators")
+    __slots__ = ("bidegree", "blocks", "free_rank", "torsion", "generators",
+                 "_key_index")
 
     def __init__(self, bidegree, blocks):
         self.bidegree = bidegree
         self.blocks = blocks
+        self._key_index = None
         self.free_rank = sum(b.coker.free_rank for b in blocks)
         self.torsion = _canonical_invariants(
             [d for b in blocks for d in b.coker.torsion])
@@ -175,6 +179,22 @@ class TorEntry:
     @property
     def size(self):
         return len(self.generators)
+
+    def key_index(self):
+        """({key: (block number, position in the block)} over the keys of
+        every block, the offset of each block's generators), built on
+        first use."""
+        if self._key_index is None:
+            offsets = []
+            offset = 0
+            for block in self.blocks:
+                offsets.append(offset)
+                offset += block.size
+            self._key_index = ({key: (b, i)
+                                for b, block in enumerate(self.blocks)
+                                for key, i in block.index.items()},
+                               offsets)
+        return self._key_index
 
     def __repr__(self):
         return "TorEntry(%r, rank=%d, torsion=%s)" % (
@@ -196,6 +216,15 @@ class CohomologyClass:
         self.table = table
         self.total = total
         self.coords = tuple(self._canon(c, m) for c, m in zip(coords, moduli))
+
+    @classmethod
+    def _from_canonical(cls, table, total, coords):
+        """A class from coordinates that are already canonical."""
+        self = object.__new__(cls)
+        self.table = table
+        self.total = total
+        self.coords = coords
+        return self
 
     def _canon(self, c, m):
         """c as a coefficient of the table's ring, reduced mod m when m is
@@ -292,7 +321,7 @@ class TorTable:
 
     __slots__ = ("data", "ring", "bound", "method", "squarefree", "face",
                  "entries", "_layouts", "_monomials", "_skipped",
-                 "_columns", "_contractions")
+                 "_columns", "_contractions", "_zeros")
 
     def __init__(self, data, ring, bound, method, squarefree, face):
         self.data = data
@@ -307,6 +336,7 @@ class TorTable:
         self._skipped = {}
         self._columns = {}
         self._contractions = {}
+        self._zeros = {}
 
     def column(self, key):
         """The integer Koszul column d(key) as {key: int}, built once per
@@ -362,7 +392,15 @@ class TorTable:
         return layout
 
     def zero_class(self, total):
-        return CohomologyClass(self, total, (0,) * self.layout(total).size)
+        """The zero class of a total degree.  Its canonical coordinates
+        are built once per total degree; the class is not kept, since it
+        refers back to the table and would keep the table alive until the
+        cycle collector runs."""
+        coords = self._zeros.get(total)
+        if coords is None:
+            coords = self._zeros[total] = CohomologyClass(
+                self, total, (0,) * self.layout(total).size).coords
+        return CohomologyClass._from_canonical(self, total, coords)
 
     def generator_class(self, bidegree, index):
         entry = self.entries[bidegree]
@@ -421,16 +459,20 @@ class TorTable:
             entry = self.entries.get(bd)
             if entry is None:
                 raise ValueError("no basis at bidegree %r" % (bd,))
-            pos = offsets[bd]
-            seen = 0
-            for block in entry.blocks:
-                w_local = block.local(comp)
-                if w_local:
-                    seen += len(w_local)
-                    free, tors = block.coker.project(
-                        block.kernel_coords(self.ring, w_local))
-                    coords[pos:pos + block.size] = free + tors
-                pos += block.size
+            # only the blocks that hold keys of comp: {block: w_local}
+            index, block_offsets = entry.key_index()
+            touched = {}
+            for key, c in comp.items():
+                found = index.get(key)
+                if found is not None:
+                    touched.setdefault(found[0], {})[found[1]] = c
+            for b, w_local in touched.items():
+                block = entry.blocks[b]
+                pos = offsets[bd] + block_offsets[b]
+                free, tors = block.coker.project(
+                    block.kernel_coords(self.ring, w_local))
+                coords[pos:pos + block.size] = free + tors
+            seen = sum(len(w_local) for w_local in touched.values())
             # keys in skipped multidegrees lie in exact blocks: zero class
             if seen != len(comp) and not (
                     self.squarefree

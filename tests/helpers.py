@@ -6,7 +6,33 @@ from math import gcd
 from hypothesis import assume
 import hypothesis.strategies as st
 
+from facetor.facering import _lift
 from facetor.simplicial import CharacteristicData, SimplicialPoset
+
+
+def product_restrictions(face, f, g):
+    """Restrictions of f*g to every maximal face of a face ring, bucketed
+    by degree as {degree: {(maximal index, exponent tuple): QQ
+    coefficient}}: with face._resolve, the restriction oracle for the
+    face ring's products."""
+    fq, gq = _lift(f), _lift(g)
+    h = {}
+    for ti, tau in enumerate(face.poset.maximal):
+        pf = face.restrict(fq, tau)
+        if not pf:
+            continue
+        pg = face.restrict(gq, tau)
+        if not pg:
+            continue
+        prod = {}
+        for a, ca in pf.items():
+            for b, cb in pg.items():
+                key = tuple(x + y for x, y in zip(a, b))
+                prod[key] = prod.get(key, 0) + ca * cb
+        for key, c in prod.items():
+            if c:
+                h.setdefault(2 * sum(key), {})[(ti, key)] = c
+    return h
 
 
 def double_edge_poset():
@@ -206,4 +232,13 @@ DOUBLED_PENTAGON = {
     "vertices": [{"id": str(i + 1), "chi": chi} for i, chi in enumerate(
         [[1, 0], [1, 1], [0, 1], [-1, 0], [0, -1]])],
     "elements": _doubled_polygon_elements(5),
+}
+
+
+# The doubled hexagon, with the rays of the smooth complete hexagon fan.
+DOUBLED_HEXAGON = {
+    "name": "doubled-6-gon", "lattice_rank": 2,
+    "vertices": [{"id": str(i + 1), "chi": chi} for i, chi in enumerate(
+        [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]])],
+    "elements": _doubled_polygon_elements(6),
 }

@@ -528,6 +528,70 @@ def test_map_power_hatq(capsys, tmp_path, docs):
     assert "  g(-2,4;0) -> -2 g(0,2;0) + 4 g(-2,4;0)" in out
 
 
+MAP_POWER_2_DOUBLED_PENTAGON = """\
+morphism power-map:2: doubled-5-gon -> doubled-5-gon (over QQ, total degree <= 7)
+induced maps act from the target table to the source table
+hat q[2,1] = -t[v2]
+untwisted images:
+  g(0,0;0) -> g(0,0;0)
+  g(0,2;0) -> 2 g(0,2;0)
+  g(0,2;1) -> 2 g(0,2;1)
+  g(0,2;2) -> 2 g(0,2;2)
+  g(0,4;0) -> 4 g(0,4;0)
+  g(0,4;1) -> 4 g(0,4;1)
+  g(0,4;2) -> 4 g(0,4;2)
+  g(0,4;3) -> 4 g(0,4;3)
+  g(0,4;4) -> 4 g(0,4;4)
+  g(0,4;5) -> 4 g(0,4;5)
+twisted images:
+  g(0,0;0) -> g(0,0;0)
+  g(0,2;0) -> 2 g(0,2;0)
+  g(0,2;1) -> 2 g(0,2;1)
+  g(0,2;2) -> 2 g(0,2;2)
+  g(0,4;0) -> 4 g(0,4;0)
+  g(0,4;1) -> 4 g(0,4;1)
+  g(0,4;2) -> 4 g(0,4;2)
+  g(0,4;3) -> 4 g(0,4;3)
+  g(0,4;4) -> 4 g(0,4;4)
+  g(0,4;5) -> 4 g(0,4;5)
+"""
+
+
+def pentagon_power2_document(tmp_path):
+    from facetor.toricmorphism import power_morphism
+    phi = power_morphism(parse_data_document(DOUBLED_PENTAGON), 2)
+    phi.name = "power-map:2"
+    return write(tmp_path, "pow2-pentagon.json", morphism_document(phi))
+
+
+def test_map_power_poset_frozen(capsys, tmp_path, docs):
+    path = pentagon_power2_document(tmp_path)
+    rc, out, err = run_cli(capsys, "map", docs["pentagon"], docs["pentagon"],
+                           path, "--both", "--show-hatq")
+    assert (rc, err) == (0, "")
+    assert out == MAP_POWER_2_DOUBLED_PENTAGON
+
+
+def test_map_builds_one_table_for_same_data(capsys, tmp_path, monkeypatch,
+                                            docs):
+    calls = []
+    compute_tor = cli.compute_tor
+
+    def counting(data, *args, **kwargs):
+        calls.append(data.name)
+        return compute_tor(data, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_tor", counting)
+    path = pentagon_power2_document(tmp_path)
+    assert run_cli(capsys, "map", docs["pentagon"], docs["pentagon"], path,
+                   "--both")[0] == 0
+    assert calls == ["doubled-5-gon"]
+    del calls[:]
+    assert run_cli(capsys, "map", docs["rebased"], docs["cstar2"],
+                   docs["bc"], "--both")[0] == 0
+    assert calls == ["cstar2-p1", "cstar2-p1 rebased"]
+
+
 def test_map_structured(capsys, docs):
     rc, out, _ = run_cli(capsys, "map", docs["rebased"], docs["cstar2"],
                          docs["bc"], "--format", "structured")

@@ -4,6 +4,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from facetor.documents import parse_data_document
 from facetor.exactalg import CoefficientRing
 from facetor.facering import (
     FaceRing,
@@ -16,7 +17,8 @@ from facetor.facering import (
 )
 from facetor.simplicial import SimplicialPoset
 
-from helpers import double_edge_poset, small_complex_facets, solid_simplex
+from helpers import DOUBLED_HEXAGON, DOUBLED_PENTAGON, double_edge_poset, \
+    product_restrictions, small_complex_facets, solid_simplex
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
@@ -223,6 +225,19 @@ def test_multiply_rings_and_units():
         {(("{a}", 1),): Fraction(1)}
 
 
+@pytest.mark.parametrize("doc", [DOUBLED_PENTAGON, DOUBLED_HEXAGON],
+                         ids=lambda doc: doc["name"])
+def test_straightening_matches_restriction_exhaustively(doc):
+    fr = FaceRing(parse_data_document(doc).poset)
+    monos = [m for d in (0, 2, 4, 6) for m in fr.basis_of_degree(d)]
+    for a in monos:
+        for b in monos:
+            got = fr.monomial_product(a, b)
+            want = fr._resolve(product_restrictions(fr, {a: 1}, {b: 1}), ZZ)
+            assert got == tuple(want.items())
+            assert all(type(k) is int for _, k in got)
+
+
 @given(small_complex_facets(max_vertices=4), st.data())
 @settings(max_examples=50, deadline=None)
 def test_multiply_complex_fast_path_matches_limit_path(data, draw):
@@ -242,7 +257,7 @@ def test_multiply_complex_fast_path_matches_limit_path(data, draw):
 
     f, g = rand_elem(), rand_elem()
     fast = fr.multiply(f, g, ZZ)
-    slow = fr._resolve(fr._product_restrictions(f, g), ZZ)
+    slow = fr._resolve(product_restrictions(fr, f, g), ZZ)
     assert fast == slow
 
 

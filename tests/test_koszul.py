@@ -9,6 +9,7 @@ from facetor.facering import FaceRing
 from facetor.koszul import (
     TwistData,
     _add_term,
+    _normal_order_into,
     bidegree,
     compute_q,
     contract,
@@ -25,6 +26,7 @@ from facetor.koszul import (
 from facetor.simplicial import CharacteristicData, SimplicialPoset
 
 from helpers import cstar2_data, small_characteristic_data, small_poset_data
+from helpers import product_restrictions
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
@@ -419,6 +421,65 @@ def test_star_over_rationals():
     a = {((3,), ()): Fraction(1, 2)}
     assert star_product(a, a, q, QQ, face) == \
         {((), tmono(data, "w")): Fraction(1, 4)}
+
+
+def star_per_term(a, b, q, ring, face):
+    """The twisted product normal-ordered term pair by term pair in the
+    ring, each face-ring product by restriction: the oracle for the
+    integer normal orderings star_product reads."""
+    out = {}
+    for (S, mf), ca in a.items():
+        for (T, mg), cb in b.items():
+            base = face._resolve(product_restrictions(
+                face, {mf: ca}, {mg: cb}), ring)
+            _normal_order_into(out, S + T, base, q, ring, face)
+    return out
+
+
+def ring_element(draw, data, face, ring):
+    """random_element with Fraction coefficients over QQ and coefficients
+    reduced mod p over Z/p."""
+    out = {}
+    for key, c in random_element(draw, data, face, terms=3).items():
+        if ring is QQ:
+            c = Fraction(c, draw.draw(st.integers(1, 3)))
+        c = ring.convert(c)
+        if c:
+            out[key] = c
+    return out
+
+
+@given(st.one_of(small_characteristic_data(), small_poset_data()),
+       st.sampled_from((QQ, ZZ, F3)), st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+def test_star_from_normal_ordering_memo_matches_per_term(data, ring, draw):
+    face = FaceRing(data.poset)
+    q = compute_q(data)
+    for _ in range(2):
+        a = ring_element(draw, data, face, ring)
+        b = ring_element(draw, data, face, ring)
+        assert star_product(a, b, q, ring, face) == \
+            star_per_term(a, b, q, ring, face)
+    assert set(q._orderings) <= {face}
+    for (S, T), ordering in q._orderings.get(face, {}).items():
+        assert all(type(k) is int and k
+                   for _, poly in ordering for _, k in poly)
+        assert {(U, mono): k for U, poly in ordering for mono, k in poly} \
+            == _normal_order_into({}, S + T, {(): 1}, q, ZZ, face)
+
+
+def test_normal_orderings_are_kept_per_face_ring():
+    data = cstar2_data()
+    q = compute_q(data)
+    face, other = FaceRing(data.poset), FaceRing(data.poset)
+    a = {((3,), ()): 1}
+    assert star_product(a, a, q, ZZ, face) == \
+        star_product(a, a, q, ZZ, other) == {((), tmono(data, "w")): 1}
+    assert set(q._orderings) == {face, other}
+    assert q._orderings[face] == {((3,), (3,)): (((), (
+        (tmono(data, "w"), 1),)),)}
 
 
 # ---------------------------------------------------------------------------

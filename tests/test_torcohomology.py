@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ from facetor.exactalg import CoefficientRing, ExactMatrix
 from facetor.facering import FaceRing, convert_element, monomial_degree
 from facetor.koszul import (TwistData, _add_term, bidegree_basis, compute_q,
                             contract, differential, star_product,
-                            total_degree_basis, wedge_product)
+                            total_degree, total_degree_basis, wedge_product)
 from facetor.simplicial import CharacteristicData, SimplicialPoset
 from facetor.torcohomology import (_Block, _canonical_invariants,
                                    compare_products, compute_tor,
@@ -20,9 +21,10 @@ from facetor.torcohomology import (_Block, _canonical_invariants,
                                    uct_report)
 
 from helpers import (DOUBLED_PENTAGON, QUOTIENT_LARGE, cstar2_data,
-                     cycle_facets, double_edge_poset, rp2_facets,
-                     small_characteristic_data, small_complex_facets,
-                     small_poset_data, solid_simplex, two_points_classes)
+                     cycle_facets, double_edge_poset, product_restrictions,
+                     rp2_facets, small_characteristic_data,
+                     small_complex_facets, small_poset_data, solid_simplex,
+                     two_points_classes)
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
@@ -411,6 +413,78 @@ def test_reduce_rejects_keys_outside_the_basis():
         table.multidegree_block((-1, 8), (2, 1, 0, 0))
 
 
+def reduce_by_block_walk(table, z):
+    """The coordinates of a cocycle by walking every block of each
+    bidegree it touches: the reference for reduce's key index."""
+    total = total_degree(table.data.poset, next(iter(z)))
+    layout = table.layout(total)
+    coords = [0] * layout.size
+    offsets = {bd: offset for bd, offset, _ in layout.parts}
+    for bd, comp in table._components(z).items():
+        pos = offsets[bd]
+        for block in table.entries[bd].blocks:
+            w_local = block.local(comp)
+            if w_local:
+                free, tors = block.coker.project(
+                    block.kernel_coords(table.ring, w_local))
+                coords[pos:pos + block.size] = free + tors
+            pos += block.size
+    return total, tuple(coords)
+
+
+@pytest.mark.parametrize("kind", ["squarefree", "poset"])
+def test_reduce_by_key_index_matches_block_walk(kind):
+    if kind == "squarefree":
+        data = moment_angle(cycle_facets(5))
+    else:
+        data = CharacteristicData.moment_angle(
+            parse_data_document(DOUBLED_PENTAGON).poset)
+    for ring in (QQ, ZZ, F3):
+        table = compute_tor(data, ring, bound=6)
+        assert table.squarefree == (kind == "squarefree")
+        assert any(len(e.blocks) > 1 for e in table.entries.values())
+        gens = table.generator_list()
+        cocycles = [g.element for g in gens]
+        cocycles += [wedge_product(g1.element, g2.element, ring, table.face)
+                     for g1, g2 in table.generator_pairs()]
+        for g1, g2 in zip(gens, gens[1:]):
+            if g1.total == g2.total:
+                z = dict(g1.element)
+                for key, c in g2.element.items():
+                    _add_term(z, key, 2 * c, ring.modulus)
+                cocycles.append(z)
+        cocycles = [z for z in cocycles if z]
+        assert len(cocycles) > len(gens)
+        for z in cocycles:
+            cls = table.reduce(z)
+            assert cls == type(cls)(table, *reduce_by_block_walk(table, z))
+
+
+def test_zero_class_coordinates_are_built_once_per_total_degree():
+    for ring in (QQ, ZZ, F3):
+        table = compute_tor(cstar2_data(), ring)
+        zero = table.zero_class(2)
+        assert zero == table.reduce({}, total=2)
+        assert zero.coords is table.zero_class(2).coords
+        built = type(zero)(table, 2, (0,) * table.layout(2).size)
+        assert [(c, type(c)) for c in zero.coords] == \
+            [(c, type(c)) for c in built.coords]
+        assert table.zero_class(1).total == 1
+
+
+def test_tables_and_products_are_freed_by_reference_counting():
+    gc.collect()
+    gc.disable()
+    try:
+        table = compute_tor(cstar2_data(), QQ)
+        product_table(table, compute_q(table.data))
+        table.zero_class(2)
+        del table
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_integer_classes_reject_fractions():
     table = compute_tor(moment_angle(rp2_facets()), ZZ, bound=9)
     (index,) = range(table.entries[(-3, 12)].size)
@@ -675,13 +749,30 @@ def test_smith_inputs_are_unchanged(monkeypatch, doc):
     assert got == SMITH_DIGESTS[doc["name"]]
 
 
+def test_poset_tables_and_products_build_no_solver(monkeypatch):
+    built = []
+    init = exactalg.PreparedSolver.__init__
+
+    def counting(self, matrix):
+        built.append(matrix.ring.kind)
+        init(self, matrix)
+
+    monkeypatch.setattr(exactalg.PreparedSolver, "__init__", counting)
+    data = parse_data_document(DOUBLED_PENTAGON)
+    for ring in (QQ, ZZ, F3):
+        table = compute_tor(data, ring)
+        assert product_table(table, compute_q(data)).products
+        assert product_table(table).products
+    assert built == []
+
+
 # ---------------------------------------------------------------------------
 # The integer product memo and the table's column cache.
 
 def restriction_product(face, a, b):
     """a * b by restriction to the maximal faces, solved over ZZ: the
     oracle for the face ring's product memo."""
-    return face._resolve(face._product_restrictions({a: 1}, {b: 1}), ZZ)
+    return face._resolve(product_restrictions(face, {a: 1}, {b: 1}), ZZ)
 
 
 def multiply_per_term(face, f, g, ring):
