@@ -5,7 +5,11 @@ strictly increasing chain of nonempty faces with all exponents >= 1; the
 standard monomials are a basis of the face ring over every coefficient
 ring.  A monomial is stored as a tuple of (element id, exponent) pairs in
 chain order, the empty tuple being 1, and a ring element is a dict
-{monomial: coefficient}.  Generator t_s has degree 2 * rank(s).
+{monomial: coefficient}.  Generator t_s has degree 2 * rank(s).  The
+exponent vector of a monomial sums the exponents over the vertices of each
+element; monomials_from_exponents inverts it, with one standard monomial
+per element rho whose vertex set is the support, the chain below rho read
+off the Boolean interval face_map[rho] (zero or one on a complex).
 
 The structure constants a * b of two standard monomials are integers and
 do not depend on the coefficient ring, so each face ring keeps one memo
@@ -116,8 +120,9 @@ class FaceRing:
         self._products = {}
         self._joins = {}
         self._positions = {}
-        self._by_vset = ({poset.vertex_set[e]: e for e in poset.elements}
-                         if poset.is_complex else None)
+        self._by_vset = {}
+        for e in poset.elements:
+            self._by_vset.setdefault(poset.vertex_set[e], []).append(e)
 
     def t_vertex(self, v):
         """The monomial t_v for a vertex id."""
@@ -132,11 +137,11 @@ class FaceRing:
         key = (a, b)
         terms = self._products.get(key)
         if terms is None:
-            if self._by_vset is not None:
-                mono = self.monomial_from_exponents(tuple(
-                    x + y for x, y in zip(self.exponent_vector(a),
-                                          self.exponent_vector(b))))
-                terms = () if mono is None else ((mono, 1),)
+            if self.poset.is_complex:
+                vec = [x + y for x, y in zip(self.exponent_vector(a),
+                                             self.exponent_vector(b))]
+                terms = tuple((mono, 1)
+                              for mono in self.monomials_from_exponents(vec))
             else:
                 gens = tuple(e for mono in (a, b) for e, i in mono
                              for _ in range(i))
@@ -270,27 +275,30 @@ class FaceRing:
                 acc[vp] += i
         return tuple(acc)
 
-    def monomial_from_exponents(self, vec):
-        """Inverse of exponent_vector on a complex; None when the support
-        is not a face."""
-        if self._by_vset is None:
-            raise LimitPresentationError("exponent vectors determine "
-                                         "monomials only for complexes")
+    def monomials_from_exponents(self, vec):
+        """The standard monomials with exponent vector vec, in
+        basis_of_degree order: one per element rho whose vertex set is the
+        support of vec, with the chain below rho read off face_map[rho]
+        (zero or one monomial on a complex)."""
         p = self.poset
-        vec = list(vec)
-        chain = []
-        while True:
-            supp = [i for i, x in enumerate(vec) if x]
-            if not supp:
-                break
-            e = self._by_vset.get(frozenset(p.vertices[i] for i in supp))
-            if e is None:
-                return None
-            low = min(vec[i] for i in supp)
-            chain.append((e, low))
-            for i in supp:
-                vec[i] -= low
-        return tuple(reversed(chain))
+        supp = [i for i, x in enumerate(vec) if x]
+        out = []
+        for rho in self._by_vset.get(
+                frozenset(p.vertices[i] for i in supp), ()):
+            below = p.face_map[rho]
+            rest = list(vec)
+            live, e = supp, rho
+            chain = []
+            while live:
+                low = min(rest[i] for i in live)
+                chain.append((e, low))
+                for i in live:
+                    rest[i] -= low
+                live = [i for i in live if rest[i]]
+                if live:
+                    e = below[frozenset(p.vertices[i] for i in live)]
+            out.append(tuple(reversed(chain)))
+        return tuple(out)
 
     def multiply(self, f, g, ring):
         """Product of two elements with coefficients in ring: the bilinear

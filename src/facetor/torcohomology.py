@@ -13,14 +13,16 @@ cache.  Each block keeps its kernel rows by column, so the kernel
 coordinates of a vector cost as much as its few nonzeros, not the number
 of kernel rows.  When chi is the identity the differential also
 preserves the fine multidegree, so each bidegree splits into small blocks
-that are solved independently (method "blocks").  On a simplicial complex
-only the squarefree multidegrees are built: a key (S, t_sigma) with the
-face sigma disjoint from S, grouped by W = S + V(sigma).  By Hochster's
-formula the Koszul complex of a Stanley-Reisner ring is exact over every
-coefficient ring in the other multidegrees, so those blocks carry no
+that are solved independently, and only the squarefree multidegrees are
+built: a key (S, t_sigma) with the element sigma disjoint from S, grouped
+by W = S + V(sigma); several elements of a simplicial poset may share a
+vertex set, and each gives its own key.  The Koszul complex of the face
+ring is exact over every coefficient ring in the other multidegrees
+(Hochster's formula for complexes; Lu and Panov, "Moment-angle complexes
+from simplicial posets", for posets), so those blocks carry no
 cohomology; reduction gives their components zero coordinates after the
 cocycle check, and coboundary_witness builds such a block on demand.
-Simplicial posets that are not complexes build every multidegree block.
+With any other chi each bidegree is solved whole.
 
 Classes are coordinate vectors over the representatives of one total
 degree, free coordinates first and torsion coordinates reduced mod their
@@ -28,7 +30,7 @@ invariants; reduce finds the blocks that hold an element's keys through
 an index per entry, and the zero class of each total degree is built
 once.  Product tables reduce pairwise products of representatives;
 a Hochster-style oracle recomputes moment-angle ranks from the reduced
-cohomology of full subcomplexes, euler_oracle gives the alternating rank
+cohomology of full subposets, euler_oracle gives the alternating rank
 sum of every internal degree from the f-vector alone, for every chi, and
 uct_report cross-checks the mod-p tables against the rational and
 integral ones.
@@ -316,19 +318,19 @@ class _Generator:
 class TorTable:
     """All bidegrees with total degree up to the bound, over one ring.
 
-    squarefree is true when the entries hold only the squarefree
-    multidegree blocks (identity chi on a simplicial complex)."""
+    squarefree is true when chi is the identity: the entries then hold
+    only the squarefree multidegree blocks, otherwise one block per
+    bidegree."""
 
-    __slots__ = ("data", "ring", "bound", "method", "squarefree", "face",
+    __slots__ = ("data", "ring", "bound", "squarefree", "face",
                  "entries", "_layouts", "_monomials", "_skipped",
                  "_columns", "_contractions", "_zeros")
 
-    def __init__(self, data, ring, bound, method, squarefree, face):
+    def __init__(self, data, ring, bound, face):
         self.data = data
         self.ring = ring
         self.bound = bound
-        self.method = method
-        self.squarefree = squarefree
+        self.squarefree = data.is_identity_chi
         self.face = face
         self.entries = {}
         self._layouts = {}
@@ -576,23 +578,15 @@ def _multidegree(data, face, ambient_pos, key):
     return tuple(mu)
 
 
-def _by_multidegree(data, face, ambient_pos, keys):
-    """{multidegree: keys} in the order of keys."""
-    out = {}
-    for key in keys:
-        out.setdefault(_multidegree(data, face, ambient_pos, key),
-                       []).append(key)
-    return {mu: tuple(grp) for mu, grp in out.items()}
-
-
 def _poset_positions(data):
     """Poset vertex position of each ambient vertex, None for ghosts."""
     return [data.poset.vertex_pos.get(v) for v in data.vertices]
 
 
 def _multidegree_keys(face, poset_pos, mu, k):
-    """Basis keys (S, m) of multidegree mu with |S| = k, in basis order.
-    On a complex the exponent vector mu - S fixes the monomial m."""
+    """Basis keys (S, m) of multidegree mu with |S| = k, in basis order:
+    the monomials m with exponent vector mu - S, one per element over its
+    support (face.monomials_from_exponents)."""
     if k < 0:
         return ()
     keys = []
@@ -607,16 +601,15 @@ def _multidegree_keys(face, poset_pos, mu, k):
                     break
                 vec[poset_pos[i]] = x
         else:
-            mono = face.monomial_from_exponents(vec)
-            if mono is not None:
-                keys.append((S, mono))
+            keys.extend((S, mono)
+                        for mono in face.monomials_from_exponents(vec))
     return tuple(keys)
 
 
 def _squarefree_keys(face, poset_pos, n, t, ks):
     """{k: {mu: keys}} over the squarefree multidegrees mu of internal
     degree t: a vertex set W of size t/2, keys (S, t_sigma) with S a
-    k-subset of W and sigma the face on the rest of W."""
+    k-subset of W and sigma an element on the rest of W."""
     grouped = {k: {} for k in ks}
     for w in combinations(range(n), t // 2):
         mu = tuple(1 if i in w else 0 for i in range(n))
@@ -627,30 +620,21 @@ def _squarefree_keys(face, poset_pos, n, t, ks):
     return grouped
 
 
-def compute_tor(data, ring, bound=None, method="auto"):
+def compute_tor(data, ring, bound=None):
     """Tor table of characteristic data up to a total-degree bound
     (default: number of vertices plus the lattice rank).
 
-    method "blocks" (the default for identity chi) splits each bidegree
-    by multidegree and, on a simplicial complex, builds only the
-    squarefree blocks; "bidegree" solves each bidegree whole."""
+    With identity chi each bidegree is split into its squarefree
+    multidegree blocks, on complexes and posets alike; with any other chi
+    each bidegree is solved whole."""
     data.ensure_valid()
-    if method not in ("auto", "bidegree", "blocks"):
-        raise ValueError("unknown method %r" % (method,))
-    if method == "blocks" and not data.is_identity_chi:
-        raise ValueError("multidegree blocks need chi = identity")
-    use_blocks = method == "blocks" or (method == "auto"
-                                        and data.is_identity_chi)
-    squarefree = use_blocks and data.poset.is_complex
     if bound is None:
         bound = len(data.vertices) + data.n
     if bound < 0:
         raise ValueError("bound must be >= 0")
     face = FaceRing(data.poset)
-    table = TorTable(data, ring, bound, "blocks" if use_blocks else "bidegree",
-                     squarefree, face)
+    table = TorTable(data, ring, bound, face)
     n = data.n
-    ambient_pos = [data.vertex_index[v] for v in data.poset.vertices]
     poset_pos = _poset_positions(data)
     for t in range(0, bound + n + 1, 2):
         kmax = min(n, t // 2)
@@ -658,12 +642,8 @@ def compute_tor(data, ring, bound=None, method="auto"):
         if kmin > kmax:
             continue
         ks = range(kmin - 1, kmax + 2)
-        if squarefree:
+        if table.squarefree:
             grouped = _squarefree_keys(face, poset_pos, n, t, ks)
-        elif use_blocks:
-            grouped = {k: _by_multidegree(data, face, ambient_pos,
-                                          bidegree_basis(face, n, k, t))
-                       for k in ks}
         else:  # the trivial grading: one block per bidegree
             grouped = {k: {(): bidegree_basis(face, n, k, t)} for k in ks}
         for k in range(kmin, kmax + 1):
@@ -794,8 +774,8 @@ def compare_products(table, twist=None):
 
 
 def _reduced_cohomology_ranks(poset, ring):
-    """Ranks of the reduced simplicial cohomology of a complex, including
-    the empty complex with its rank one in degree -1."""
+    """Ranks of the reduced cohomology of a simplicial poset (its cell
+    complex), including the empty one with its rank one in degree -1."""
     by_rank = {}
     for e in poset.elements:
         by_rank.setdefault(poset.rank(e), []).append(e)
@@ -831,10 +811,9 @@ def _reduced_cohomology_ranks(poset, ring):
 def hochster_oracle(data, ring, bound=None):
     """Independent rank oracle for chi = identity: the rank at bidegree
     (-k, 2m) is the sum over m-element vertex subsets W of the reduced
-    cohomology rank of the full subcomplex on W in degree m - k - 1.
-    Ghost vertices participate in the subsets W."""
-    if not data.poset.is_complex:
-        raise ValueError("the oracle needs a simplicial complex")
+    cohomology rank of the full subposet on W in degree m - k - 1
+    (Hochster; for simplicial posets, Lu and Panov).  Ghost vertices
+    participate in the subsets W."""
     if not data.is_identity_chi:
         raise ValueError("the oracle needs chi = identity")
     if not ring.is_field:

@@ -62,10 +62,9 @@ class ToricMorphism:
             return problems
         if self.nu[src.bottom] != tgt.bottom:
             problems.append("nu must send the empty face to the empty face")
-        below = {}
         for e in src.elements:
             for c in src.covers[e]:
-                if not self._leq(tgt, below, self.nu[c], self.nu[e]):
+                if not tgt.le(self.nu[c], self.nu[e]):
                     problems.append(
                         "nu is not order-preserving: %r < %r but %r is "
                         "not a face of %r" % (c, e, self.nu[c], self.nu[e]))
@@ -82,18 +81,6 @@ class ToricMorphism:
                     "A maps vertex %r to a combination with negative "
                     "coefficients over %r" % (vp, tau))
         return problems
-
-    def _leq(self, poset, below, a, b):
-        if b not in below:
-            seen = {b}
-            queue = [b]
-            while queue:
-                for c in poset.covers[queue.pop()]:
-                    if c not in seen:
-                        seen.add(c)
-                        queue.append(c)
-            below[b] = seen
-        return a in below[b]
 
     def _carrier_solve(self, tau, b):
         """Integer coefficients over the vertices of the target face tau

@@ -61,6 +61,21 @@ def cstar2_data():
                               name="cstar2-p1")
 
 
+def rebased(data):
+    """data after a unimodular change of lattice basis of chi: row 2 +=
+    row 1 (row 1 negated in rank 1).  The new chi is not the identity, so
+    compute_tor solves each bidegree whole; theta'_i = sum_j A_ij theta_j
+    makes the two Koszul complexes isomorphic, so their rank and torsion
+    tables agree: the reference for the multidegree blocks."""
+    def move(col):
+        if len(col) == 1:
+            return (-col[0],)
+        return (col[0], col[1] + col[0]) + col[2:]
+    return CharacteristicData(data.poset, data.vertices,
+                              {v: move(col) for v, col in data.chi.items()},
+                              data.n, name=data.name)
+
+
 def two_points_classes(table):
     """The four standard classes of the cstar2 table: a1, a2, b, c."""
     a1 = table.reduce({((1,), ()): 1, ((3,), ()): -1})

@@ -313,7 +313,17 @@ def test_exponent_vector_roundtrip(data, draw):
     if not basis:
         return
     mono = draw.draw(st.sampled_from(basis))
-    assert fr.monomial_from_exponents(fr.exponent_vector(mono)) == mono
+    assert fr.monomials_from_exponents(fr.exponent_vector(mono)) == (mono,)
+    # on a poset: every monomial of each exponent vector, in basis order
+    pentagon = FaceRing(parse_data_document(DOUBLED_PENTAGON).poset)
+    for d in range(0, 7, 2):
+        by_vector = {}
+        for mono in pentagon.basis_of_degree(d):
+            by_vector.setdefault(pentagon.exponent_vector(mono),
+                                 []).append(mono)
+        assert any(len(monos) > 1 for monos in by_vector.values()) == (d > 2)
+        for vec, monos in by_vector.items():
+            assert pentagon.monomials_from_exponents(vec) == tuple(monos)
 
 
 # ---------------------------------------------------------------------------

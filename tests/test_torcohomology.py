@@ -22,7 +22,7 @@ from facetor.torcohomology import (_Block, _canonical_invariants,
 
 from helpers import (DOUBLED_PENTAGON, QUOTIENT_LARGE, cstar2_data,
                      cycle_facets, double_edge_poset, product_restrictions,
-                     rp2_facets, small_characteristic_data,
+                     rebased, rp2_facets, small_characteristic_data,
                      small_complex_facets, small_poset_data, solid_simplex,
                      two_points_classes)
 
@@ -41,6 +41,30 @@ def moment_angle(facets, ghosts=0):
     return CharacteristicData.moment_angle(poset, vertices=ambient)
 
 
+def poset_moment_angle(max_vertices):
+    """Identity chi on the posets of small_poset_data, ghosts included:
+    often not a complex."""
+    return small_poset_data(max_vertices=max_vertices).map(
+        lambda data: CharacteristicData.moment_angle(
+            data.poset, vertices=data.vertices))
+
+
+def moment_angle_data(max_vertices):
+    """Identity chi on a small complex with up to one ghost, or on a poset
+    with one vertex fewer (parallel faces and up to two ghosts make its
+    Koszul complex larger)."""
+    complexes = st.tuples(small_complex_facets(max_vertices=max_vertices),
+                          st.integers(0, 1)).map(
+        lambda fg: moment_angle(fg[0][0], ghosts=fg[1]))
+    return complexes | poset_moment_angle(max_vertices - 1)
+
+
+def assert_same_ranks_and_torsion(table, reference):
+    assert table.entries.keys() == reference.entries.keys()
+    assert table.rank_table() == reference.rank_table()
+    assert table.torsion_table() == reference.torsion_table()
+
+
 # ---------------------------------------------------------------------------
 # Tables.
 
@@ -53,7 +77,7 @@ def test_table_two_points():
     table = compute_tor(data, QQ)
     assert table.total_ranks() == {0: 1, 1: 2, 2: 2, 3: 2, 4: 1}
     assert table.bound == 7
-    assert table.method == "bidegree"
+    assert not table.squarefree
 
 
 def test_table_one_point_rank_zero():
@@ -88,20 +112,19 @@ def test_table_bound_and_method_validation():
         small.layout(3)
     with pytest.raises(ValueError):
         compute_tor(data, QQ, bound=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         compute_tor(data, QQ, method="blocks")
-    with pytest.raises(ValueError):
-        compute_tor(data, QQ, method="magic")
 
 
 def test_methods_agree_on_moment_angle():
+    # the blocks of identity chi against whole bidegrees of rebased chi
     data = moment_angle(cycle_facets(4), ghosts=1)
     for ring in (QQ, ZZ):
-        blocks = compute_tor(data, ring, method="blocks")
-        general = compute_tor(data, ring, method="bidegree")
-        assert blocks.rank_table() == general.rank_table()
-        assert blocks.torsion_table() == general.torsion_table()
-    assert compute_tor(data, QQ).method == "blocks"
+        blocks = compute_tor(data, ring)
+        general = compute_tor(rebased(data), ring)
+        assert blocks.squarefree and not general.squarefree
+        assert all(len(e.blocks) == 1 for e in general.entries.values())
+        assert_same_ranks_and_torsion(blocks, general)
 
 
 def test_table_determinism():
@@ -148,12 +171,13 @@ def test_reduce_rejects_bad_input():
         table.reduce({((), (("{v}", 1),)): 1}, total=4)
 
 
-@given(small_characteristic_data(max_vertices=3), st.data())
-@settings(max_examples=30, deadline=None,
+@given(st.one_of(small_characteristic_data(max_vertices=3),
+                 poset_moment_angle(max_vertices=3)), st.data())
+@settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much,
                                  HealthCheck.too_slow])
 def test_reduce_kills_coboundaries(data, draw):
-    ring = draw.draw(st.sampled_from((QQ, ZZ, F2)))
+    ring = draw.draw(st.sampled_from((QQ, ZZ, F2, F3)))
     table = compute_tor(data, ring)
     face = table.face
     d = draw.draw(st.integers(0, max(0, table.bound - 1)))
@@ -272,18 +296,17 @@ def test_hochster_validation():
         hochster_oracle(cstar2_data(), QQ)
     with pytest.raises(ValueError, match="field"):
         hochster_oracle(moment_angle([["v"]]), ZZ)
-    from helpers import double_edge_poset
-    poset = double_edge_poset()
-    data = CharacteristicData.moment_angle(poset)
-    with pytest.raises(ValueError, match="complex"):
-        hochster_oracle(data, QQ)
+    # posets too: the full subposet on {a, b} is a circle of two edges
+    data = CharacteristicData.moment_angle(double_edge_poset())
+    oracle = hochster_oracle(data, QQ)
+    assert oracle == {(0, 0): 1, (0, 4): 1}
+    assert oracle == compute_tor(data, QQ).rank_table()
 
 
-@given(small_complex_facets(max_vertices=5), st.integers(0, 1))
-@settings(max_examples=30, deadline=None)
-def test_hochster_matches_engine(facets_verts, ghosts):
-    facets, _ = facets_verts
-    data = moment_angle(facets, ghosts=ghosts)
+@given(moment_angle_data(max_vertices=5))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_hochster_matches_engine(data):
     for ring in (QQ, F2):
         table = compute_tor(data, ring)
         assert table.rank_table() == hochster_oracle(data, ring)
@@ -320,7 +343,7 @@ def test_uct_two_points_and_cp2():
 
 
 # ---------------------------------------------------------------------------
-# Squarefree blocks (identity chi on a complex).
+# Squarefree blocks (identity chi, on complexes and posets).
 
 F3 = CoefficientRing.integers_mod(3)
 
@@ -343,12 +366,10 @@ def multidegrees_by_bidegree(table):
     return out
 
 
-@given(small_complex_facets(max_vertices=4), st.integers(0, 1),
-       st.sampled_from((QQ, ZZ, F3)))
-@settings(max_examples=25, deadline=None)
-def test_skipped_blocks_are_acyclic(facets_verts, ghosts, ring):
-    facets, _ = facets_verts
-    data = moment_angle(facets, ghosts=ghosts)
+@given(moment_angle_data(max_vertices=4), st.sampled_from((QQ, ZZ, F3)))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_skipped_blocks_are_acyclic(data, ring):
     table = compute_tor(data, ring)
     assert table.squarefree
     for bd, mus in multidegrees_by_bidegree(table).items():
@@ -361,22 +382,39 @@ def test_skipped_blocks_are_acyclic(facets_verts, ghosts, ring):
             assert block.keys and not built & set(block.keys)
             assert block.coker.free_rank == 0
             assert not block.coker.torsion
-    general = compute_tor(data, ring, method="bidegree")
-    assert table.entries.keys() == general.entries.keys()
-    assert table.rank_table() == general.rank_table()
-    assert table.torsion_table() == general.torsion_table()
+    assert_same_ranks_and_torsion(table, compute_tor(rebased(data), ring))
 
 
-def test_posets_build_every_multidegree():
-    from helpers import double_edge_poset
-    data = CharacteristicData.moment_angle(double_edge_poset())
-    table = compute_tor(data, ZZ)
-    assert table.method == "blocks" and not table.squarefree
-    with pytest.raises(ValueError, match="squarefree"):
-        table.multidegree_block((0, 4), (2, 0))
-    general = compute_tor(data, ZZ, method="bidegree")
-    assert table.rank_table() == general.rank_table()
-    assert table.torsion_table() == general.torsion_table()
+def test_posets_build_only_squarefree_blocks():
+    poset = double_edge_poset()
+    data = CharacteristicData.moment_angle(poset, vertices=["a", "b", "z"])
+    for ring in (QQ, ZZ, F3):
+        table = compute_tor(data, ring)
+        assert table.squarefree
+        keys = [key for entry in table.entries.values()
+                for block in entry.blocks for key in block.keys]
+        # both edges give a key on the vertex set {a, b}
+        assert ((), (("e1", 1),)) in keys and ((), (("e2", 1),)) in keys
+        for S, mono in keys:  # the ghost z comes last
+            mu = list(table.face.exponent_vector(mono)) + [0]
+            for i in S:
+                mu[i - 1] += 1
+            assert max(mu) <= 1
+        assert_same_ranks_and_torsion(table, compute_tor(rebased(data), ring))
+        # t_a t_e1 - t_a t_e2, the coboundary of u_a (t_e1 - t_e2), lies
+        # in the skipped multidegree (2, 1, 0)
+        face = table.face
+        w = {((1,), (("e1", 1),)): ring.one(),
+             ((1,), (("e2", 1),)): ring.neg(ring.one())}
+        z = differential(w, data, ring, face)
+        assert set(z) == {((), (("a", 1), ("e1", 1))),
+                          ((), (("a", 1), ("e2", 1)))}
+        assert table.reduce(z).is_zero
+        witness = table.coboundary_witness(z)
+        assert differential(witness, data, ring, face) == z
+        block = table.multidegree_block((0, 6), (2, 1, 0))
+        assert block.keys == tuple(sorted(z))
+        assert block.coker.free_rank == 0 and not block.coker.torsion
 
 
 def test_reduce_in_skipped_multidegree():
@@ -441,7 +479,7 @@ def test_reduce_by_key_index_matches_block_walk(kind):
             parse_data_document(DOUBLED_PENTAGON).poset)
     for ring in (QQ, ZZ, F3):
         table = compute_tor(data, ring, bound=6)
-        assert table.squarefree == (kind == "squarefree")
+        assert table.squarefree
         assert any(len(e.blocks) > 1 for e in table.entries.values())
         gens = table.generator_list()
         cocycles = [g.element for g in gens]
@@ -617,7 +655,7 @@ def test_kernel_coords_match_row_dots_on_a_quotient():
     rng = random.Random(6)
     for ring in (QQ, ZZ, F3):
         table = compute_tor(data, ring)
-        assert table.method == "bidegree" and len(table.entries) == 24
+        assert not table.squarefree and len(table.entries) == 24
         face = table.face
 
         def dvec(key):

@@ -15,7 +15,8 @@ from facetor.toricmorphism import (Lift, ToricMorphism, cox_projection,
                                    tor_phi, validate_morphism, xi)
 
 from helpers import (basis_change_source, cstar2_data, cycle_facets,
-                     small_characteristic_data, two_points_classes)
+                     double_edge_poset, small_characteristic_data,
+                     two_points_classes)
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
@@ -78,6 +79,17 @@ def test_validate_order_preservation():
     A = [[1, 0], [0, 0]]
     phi = ToricMorphism(edge, edge, A, nu)
     assert any("order-preserving" in p for p in phi.validate())
+    # on a poset the two parallel edges may be swapped, but not folded
+    # onto a vertex
+    double = CharacteristicData.moment_angle(double_edge_poset())
+    swap = {"0": "0", "a": "a", "b": "b", "e1": "e2", "e2": "e1"}
+    assert ToricMorphism(double, double, [[1, 0], [0, 1]], swap
+                         ).validate() == []
+    folded = dict(swap, e2="a")
+    assert ToricMorphism(double, double, [[1, 0], [0, 1]], folded
+                         ).validate() == [
+        "nu is not order-preserving: 'b' < 'e2' but 'b' is not a face "
+        "of 'a'"]
 
 
 def test_lift_frozen_columns():
