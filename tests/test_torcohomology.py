@@ -732,25 +732,33 @@ def test_euler_oracle_matches_tables(data, ring, draw):
 
 
 def smith_call_digest(monkeypatch, data, rings):
-    """(number of calls, SHA-256) over every Smith form compute_tor runs on
-    data over the rings for the Koszul complex: shape, ring, requested
-    transforms and every entry with its type, in the order the matrix
-    holds them.  The face ring's own restriction solvers, the
-    PreparedSolver forms FaceRing._degree_system builds, are left out:
-    they belong to the face ring, not to the Koszul complex."""
-    calls = []
+    """{requested transforms: (number of calls, SHA-256)} over the Smith
+    forms compute_tor runs on data over the rings for the Koszul complex,
+    one ordered stream per transform set: the kernel forms ("V", "Vinv"),
+    the image forms ("U", "Uinv") and the validation forms ().  Each call
+    records its shape, ring and every entry with its type, in the order
+    the matrix holds them.  An image form whose cokernel is zero (rank
+    equal to the row count, every diagonal entry a unit) is left out: such
+    a block carries no cohomology, and whether its image is eliminated at
+    all is not part of the Koszul complex's input.  The face ring's own
+    restriction solvers, the PreparedSolver forms FaceRing._degree_system
+    builds, are left out too: they belong to the face ring."""
+    streams = {}
     original = exactalg._smith
     original_system = FaceRing._degree_system
     in_system = [0]
 
     def recording(matrix, want):
-        if not in_system[0]:
-            ring = matrix.ring
-            calls.append(repr((matrix.nrows, matrix.ncols, ring.kind,
-                               ring.modulus, tuple(want),
-                               [(i, list(row.items()))
-                                for i, row in matrix.rows.items()])))
-        return original(matrix, want)
+        sf = original(matrix, want)
+        ring = matrix.ring
+        zero_cokernel = (sf.rank == matrix.nrows
+                         and all(ring.is_unit(d) for d in sf.diagonal))
+        if not in_system[0] and not (tuple(want) == ("U", "Uinv")
+                                     and zero_cokernel):
+            streams.setdefault(tuple(want), []).append(repr((
+                matrix.nrows, matrix.ncols, ring.kind, ring.modulus,
+                [(i, list(row.items())) for i, row in matrix.rows.items()])))
+        return sf
 
     def degree_system(self, d):
         in_system[0] += 1
@@ -763,19 +771,32 @@ def smith_call_digest(monkeypatch, data, rings):
     monkeypatch.setattr(FaceRing, "_degree_system", degree_system)
     for ring in rings:
         compute_tor(data, ring)
-    digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
-    return len(calls), digest
+    return {want: (len(calls),
+                   hashlib.sha256("\n".join(calls).encode()).hexdigest())
+            for want, calls in sorted(streams.items())}
 
 
-# Captured before the differential was assembled from integer columns
-# (the doubled-5-gon value re-pinned without the face ring's restriction
-# solvers); any change to a key order, a column or an entry type changes
-# them.
+# The streams were first pinned whole, before the differential was
+# assembled from integer columns; they are now pinned per transform set,
+# without the image forms of zero cokernels.  Any change to a key order,
+# a column or an entry type changes them.
 SMITH_DIGESTS = {
-    "quotient-large": (156, "670414e2e08640c38f998757beea41d3"
-                           "2fd4db99fd7106bc4daf5f3816a6ce4a"),
-    "doubled-5-gon": (96, "49c4f3aacbc7ed1ea50112f774c7aab5"
-                         "7e3674bb6b0aa6ffd93f4b73bff8f942"),
+    "quotient-large": {
+        (): (12, "0879f91c73287c218f8c164da65a790d"
+                 "ebfb2663d065ad8acc65eadf35990bd8"),
+        ("U", "Uinv"): (12, "954b5ca89070c6e6551769ff9e83cd3d"
+                            "8150b94deea10977db8a8cef16995e5d"),
+        ("V", "Vinv"): (72, "8cff8dba9c62b20f3eda305dfaf5247d"
+                            "3c7f5d048bafaab749a57185b46aa5d0"),
+    },
+    "doubled-5-gon": {
+        (): (30, "aab4ab489ded8b14f279fc3341cf184d"
+                 "eed16f82c3ea95e94f95ae463dd76488"),
+        ("U", "Uinv"): (9, "529b35a93cd0cbde8c7104014febf71d"
+                           "2abe65f9bb370816b88fba615c920af1"),
+        ("V", "Vinv"): (33, "bc82ca2329a3271faddca01c70a470b6"
+                            "473ccb379753cabca5992709a23bc415"),
+    },
 }
 
 
