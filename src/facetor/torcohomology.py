@@ -5,9 +5,14 @@ internal degree the complex is a finite chain of free modules; the kernel
 at each spot comes from a Smith form of the outgoing map (saturated over
 the integers), the incoming image is rewritten in kernel coordinates, and
 its cokernel structure yields ranks, torsion invariants, and deterministic
-representative cocycles.  The table owns one cache of the integer Koszul
-columns of its keys (koszul.integer_column); each column is built once
-and converted into the ring when a block's matrix is built, and the
+representative cocycles.  Most blocks carry no cohomology, and the kernel
+Smith forms alone tell which: H_k = 0 exactly when rank d_k + rank
+d_(k+1) is the number of keys and, over ZZ, every Smith diagonal entry of
+d_(k+1) is a unit, since ker d_k is a direct summand (see _Block).  Such
+a block shares one zero cokernel and builds its image only when
+coboundary_witness asks for it.  The table owns one cache of the integer
+Koszul columns of its keys (koszul.integer_column); each column is built
+once and converted into the ring when a block's matrix is built, and the
 cocycle check of reduce and the blocks built on demand read the same
 cache.  Each block keeps its kernel rows by column, so the kernel
 coordinates of a vector cost as much as its few nonzeros, not the number
@@ -26,14 +31,14 @@ With any other chi each bidegree is solved whole.
 
 Classes are coordinate vectors over the representatives of one total
 degree, free coordinates first and torsion coordinates reduced mod their
-invariants; reduce finds the blocks that hold an element's keys through
-an index per entry, and the zero class of each total degree is built
-once.  Product tables reduce pairwise products of representatives;
-a Hochster-style oracle recomputes moment-angle ranks from the reduced
-cohomology of full subposets, euler_oracle gives the alternating rank
-sum of every internal degree from the f-vector alone, for every chi, and
-uct_report cross-checks the mod-p tables against the rational and
-integral ones.
+invariants; reduce and coboundary_witness find the blocks that hold an
+element's keys through an index per entry, and the zero class of each
+total degree is built once.  Product tables reduce pairwise products of
+representatives; a Hochster-style oracle recomputes moment-angle ranks
+from the reduced cohomology of full subposets, euler_oracle gives the
+alternating rank sum of every internal degree from the f-vector alone,
+for every chi, and uct_report cross-checks the mod-p tables against the
+rational and integral ones.
 """
 
 from fractions import Fraction
@@ -69,12 +74,39 @@ def _canonical_invariants(invs):
     return tuple(d for d in invs if d != 1)
 
 
+class _ZeroCokernel:
+    """The cokernel of an image that fills the kernel: no generators, and
+    every vector projects to empty coordinates.  One instance is shared by
+    all acyclic blocks."""
+
+    __slots__ = ()
+    free_rank = 0
+    torsion = ()
+    free_generators = ()
+    torsion_generators = ()
+
+    def project(self, w):
+        return (), ()
+
+
+_ZERO_COKERNEL = _ZeroCokernel()
+
+
 class _Block:
     """One multidegree block of a bidegree: basis keys, kernel data, and
-    the cokernel of the incoming image in kernel coordinates."""
+    the cokernel of the incoming image in kernel coordinates.
+
+    The constructor runs the Smith form of the outgoing map d_k and keeps
+    its rank and whether every diagonal entry is a unit; finish then sets
+    the cokernel.  H_k = ker d_k / im d_{k+1} is zero exactly when rank
+    d_k + rank d_{k+1} is the number of keys and, over ZZ, every Smith
+    diagonal entry of d_{k+1} is a unit: C_k / ker d_k embeds in the free
+    C_(k-1), so ker d_k is a direct summand and the torsion of H_k is the
+    torsion of C_k / im d_{k+1}.  Such a block gets the shared zero
+    cokernel and builds its image only on demand (image)."""
 
     __slots__ = ("keys", "index", "kernel_by_col", "kernel_cols", "coker",
-                 "incoming", "image", "modulus")
+                 "incoming", "_image", "modulus", "rank", "units")
 
     def __init__(self, ring, keys, out_index, incoming, dvec):
         # dvec(key) is the differential of a key, with ring or integer
@@ -94,7 +126,8 @@ class _Block:
             cols.append(col)
         a_out = ExactMatrix.from_columns(cols, len(out_index), ring)
         sf = a_out.smith_normal_form(want=("V", "Vinv"))
-        r = sf.rank
+        r = self.rank = sf.rank
+        self.units = all(ring.is_unit(d) for d in sf.diagonal)
         # the kernel rows Vinv[r:] by column: {j: [(i - r, value), ...]}
         self.kernel_by_col = {}
         for i in range(r, len(keys)):
@@ -102,14 +135,28 @@ class _Block:
                 self.kernel_by_col.setdefault(j, []).append((i - r, a))
         vcols = sf.V.columns()
         self.kernel_cols = [vcols.get(j, {}) for j in range(r, len(keys))]
-        dim_ker = len(keys) - r
         self.incoming = incoming
-        xcols = [self.kernel_coords(
-                     ring, {self.index[key2]: c
-                            for key2, c in dvec(key).items()})
-                 for key in incoming]
-        self.image = ExactMatrix.from_columns(xcols, dim_ker, ring)
-        self.coker = self.image.cokernel_structure()
+        self._image = None
+        self.coker = None
+
+    def finish(self, ring, dvec, acyclic=False):
+        """Set the cokernel: the shared zero one for an acyclic block, else
+        the cokernel structure of the image."""
+        self.coker = (_ZERO_COKERNEL if acyclic
+                      else self.image(ring, dvec).cokernel_structure())
+
+    def image(self, ring, dvec):
+        """The incoming image in kernel coordinates, built on first use.
+        dvec is passed per call, not kept: the table's column cache would
+        make the block and its table a reference cycle."""
+        if self._image is None:
+            xcols = [self.kernel_coords(
+                         ring, {self.index[key2]: c
+                                for key2, c in dvec(key).items()})
+                     for key in self.incoming]
+            self._image = ExactMatrix.from_columns(
+                xcols, len(self.kernel_cols), ring)
+        return self._image
 
     def element_of(self, y):
         """Kernel-coordinate vector -> element dict over this block's keys."""
@@ -197,6 +244,17 @@ class TorEntry:
                                 for key, i in block.index.items()},
                                offsets)
         return self._key_index
+
+    def local_parts(self, comp):
+        """{block number: {position: coefficient}} over the blocks that
+        hold keys of comp, found through the key index."""
+        index = self.key_index()[0]
+        parts = {}
+        for key, c in comp.items():
+            found = index.get(key)
+            if found is not None:
+                parts.setdefault(found[0], {})[found[1]] = c
+        return parts
 
     def __repr__(self):
         return "TorEntry(%r, rank=%d, torsion=%s)" % (
@@ -461,15 +519,12 @@ class TorTable:
             entry = self.entries.get(bd)
             if entry is None:
                 raise ValueError("no basis at bidegree %r" % (bd,))
-            # only the blocks that hold keys of comp: {block: w_local}
-            index, block_offsets = entry.key_index()
-            touched = {}
-            for key, c in comp.items():
-                found = index.get(key)
-                if found is not None:
-                    touched.setdefault(found[0], {})[found[1]] = c
+            touched = entry.local_parts(comp)
+            block_offsets = entry.key_index()[1]
             for b, w_local in touched.items():
                 block = entry.blocks[b]
+                if not block.size:
+                    continue
                 pos = offsets[bd] + block_offsets[b]
                 free, tors = block.coker.project(
                     block.kernel_coords(self.ring, w_local))
@@ -493,17 +548,21 @@ class TorTable:
         mod = self.ring.modulus
         witness = {}
         for bd, comp in self._components(z).items():
-            blocks = list(self.entries[bd].blocks)
+            entry = self.entries[bd]
+            touched = entry.local_parts(comp)
+            parts = [(entry.blocks[b], touched[b]) for b in sorted(touched)]
             if self.squarefree:
                 mus = {_multidegree(self.data, self.face, ambient_pos, key)
                        for key in comp}
-                blocks.extend(self.multidegree_block(bd, mu)
-                              for mu in sorted(mus) if any(x > 1 for x in mu))
-            for block in blocks:
-                y = block.kernel_coords(self.ring, block.local(comp))
+                for mu in sorted(mus):
+                    if any(x > 1 for x in mu):
+                        block = self.multidegree_block(bd, mu)
+                        parts.append((block, block.local(comp)))
+            for block, w_local in parts:
+                y = block.kernel_coords(self.ring, w_local)
                 if not y:
                     continue
-                u = block.image.solve(y)
+                u = block.image(self.ring, self.column).solve(y)
                 if u is None:
                     raise AssertionError("zero class without a witness")
                 for j, c in u.items():
@@ -537,6 +596,7 @@ class TorTable:
                            {key: i for i, key in enumerate(out)},
                            _multidegree_keys(face, poset_pos, mu, k + 1),
                            self.column)
+            block.finish(self.ring, self.column)
             self._skipped[(bidegree, mu)] = block
         return block
 
@@ -626,7 +686,11 @@ def compute_tor(data, ring, bound=None):
 
     With identity chi each bidegree is split into its squarefree
     multidegree blocks, on complexes and posets alike; with any other chi
-    each bidegree is solved whole."""
+    each bidegree is solved whole.  Per internal degree every block runs
+    its kernel Smith form first, in ascending k and sorted multidegree;
+    then each block is finished from the rank and the unit diagonal of
+    the block one step up in the same multidegree: an acyclic block gets
+    the zero cokernel, any other one the cokernel of its image."""
     data.ensure_valid()
     if bound is None:
         bound = len(data.vertices) + data.n
@@ -646,16 +710,31 @@ def compute_tor(data, ring, bound=None):
             grouped = _squarefree_keys(face, poset_pos, n, t, ks)
         else:  # the trivial grading: one block per bidegree
             grouped = {k: {(): bidegree_basis(face, n, k, t)} for k in ks}
+        # every kernel form first, in ascending k: {k: {mu: block}}
+        blocks = {}
         for k in range(kmin, kmax + 1):
             if not _has_monomials(face, t - 2 * k):
                 continue  # the bidegree basis is empty
             here, out, inc = grouped[k], grouped[k - 1], grouped[k + 1]
-            blocks = tuple(
-                _Block(ring, here[mu],
-                       {key: i for i, key in enumerate(out.get(mu, ()))},
-                       inc.get(mu, ()), table.column)
-                for mu in sorted(here))
-            table.entries[(-k, t)] = TorEntry((-k, t), blocks)
+            blocks[k] = {
+                mu: _Block(ring, here[mu],
+                           {key: i for i, key in enumerate(out.get(mu, ()))},
+                           inc.get(mu, ()), table.column)
+                for mu in sorted(here)}
+        # block (k + 1, mu) eliminated the incoming map of block (k, mu)
+        for k, row in blocks.items():
+            above = blocks.get(k + 1, {})
+            for mu, block in row.items():
+                nxt = above.get(mu)
+                if nxt is None:
+                    if block.incoming:
+                        raise AssertionError("incoming keys without a block")
+                    rank_in, units = 0, True
+                else:
+                    rank_in, units = nxt.rank, nxt.units
+                block.finish(ring, table.column,
+                             units and block.rank + rank_in == len(block.keys))
+            table.entries[(-k, t)] = TorEntry((-k, t), tuple(row.values()))
     return table
 
 

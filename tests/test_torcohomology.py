@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from facetor import exactalg
 from facetor.documents import parse_data_document
@@ -14,9 +15,9 @@ from facetor.koszul import (TwistData, _add_term, bidegree_basis, compute_q,
                             contract, differential, star_product,
                             total_degree, total_degree_basis, wedge_product)
 from facetor.simplicial import CharacteristicData, SimplicialPoset
-from facetor.torcohomology import (_Block, _canonical_invariants,
-                                   compare_products, compute_tor,
-                                   euler_oracle, format_class,
+from facetor.torcohomology import (_ZERO_COKERNEL, _Block,
+                                   _canonical_invariants, compare_products,
+                                   compute_tor, euler_oracle, format_class,
                                    hochster_oracle, product_table, reduce,
                                    uct_report)
 
@@ -385,6 +386,32 @@ def test_skipped_blocks_are_acyclic(data, ring):
     assert_same_ranks_and_torsion(table, compute_tor(rebased(data), ring))
 
 
+@given(st.one_of(small_characteristic_data(max_vertices=4),
+                 moment_angle_data(max_vertices=4),
+                 small_poset_data(),
+                 moment_angle_data(max_vertices=4).map(rebased),
+                 small_poset_data().map(rebased)),
+       st.sampled_from((QQ, ZZ, F2, F3)))
+@example(moment_angle(rp2_facets()), ZZ)  # Z/2 at (-3, 12)
+@example(moment_angle(rp2_facets()), F2)
+@example(parse_data_document(QUOTIENT_LARGE), ZZ)
+@example(parse_data_document(DOUBLED_PENTAGON), F3)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+def test_acyclic_blocks_are_exactly_the_zero_cokernels(data, ring):
+    # every block's image rewritten in kernel coordinates, and its
+    # cokernel computed, as before acyclic blocks were read off the ranks
+    table = compute_tor(data, ring)
+    for entry in table.entries.values():
+        for block in entry.blocks:
+            coker = block.image(ring, table.column).cokernel_structure()
+            zero = not coker.free_rank and not coker.torsion
+            assert (block.coker is _ZERO_COKERNEL) == zero
+            assert block.coker.free_rank == coker.free_rank
+            assert tuple(block.coker.torsion) == tuple(coker.torsion)
+
+
 def test_posets_build_only_squarefree_blocks():
     poset = double_edge_poset()
     data = CharacteristicData.moment_angle(poset, vertices=["a", "b", "z"])
@@ -433,6 +460,23 @@ def test_reduce_in_skipped_multidegree():
         assert differential(witness, data, ring, table.face) == z
         block = table.multidegree_block(bd, (2, 2, 0, 0))
         assert block is table.multidegree_block(bd, (2, 2, 0, 0))
+
+
+def test_coboundary_witness_visits_only_the_blocks_of_its_keys(monkeypatch):
+    data = moment_angle(cycle_facets(7))
+    table = compute_tor(data, QQ)
+    w = {((1, 2, 3, 4, 5), ()): QQ.one()}
+    z = differential(w, data, QQ, table.face)
+    assert len(z) == 5 and len(table.entries[(-4, 10)].blocks) == 21
+    visited = []
+    for name in ("local", "kernel_coords"):
+        def recording(self, *args, _method=getattr(_Block, name)):
+            visited.append(id(self))
+            return _method(self, *args)
+        monkeypatch.setattr(_Block, name, recording)
+    witness = table.coboundary_witness(z)
+    assert differential(witness, data, QQ, table.face) == z
+    assert len(set(visited)) == 1
 
 
 def test_reduce_rejects_keys_outside_the_basis():
