@@ -25,9 +25,19 @@ vertex set, and each gives its own key.  The Koszul complex of the face
 ring is exact over every coefficient ring in the other multidegrees
 (Hochster's formula for complexes; Lu and Panov, "Moment-angle complexes
 from simplicial posets", for posets), so those blocks carry no
-cohomology; reduction gives their components zero coordinates after the
-cocycle check, and coboundary_witness builds such a block on demand.
-With any other chi each bidegree is solved whole.
+cohomology.  With any other chi each bidegree is solved whole.
+
+Two more cuts build no block that topology proves zero.  The table is the
+cohomology of X = Z_P x_{T^m} T^n, a CW complex of dimension N = n + d,
+d the largest element rank (Franz, arXiv:1907.04791), so every bidegree
+of total degree above N is zero over every ring, torsion included: it
+keeps its entry, with no blocks (the dimension cut, for every chi).  On a
+complex with identity chi a multidegree W whose full subcomplex K_W is a
+cone is contractible, so all its blocks are zero (the cone cut); posets
+keep those blocks, since a digon passes the same test yet is a circle.
+One rule covers every key outside the built blocks: reduce gives a basis
+key there zero coordinates after the cocycle check, and
+coboundary_witness builds its block on demand (multidegree_block).
 
 Classes are coordinate vectors over the representatives of one total
 degree, free coordinates first and torsion coordinates reduced mod their
@@ -378,10 +388,11 @@ class TorTable:
 
     squarefree is true when chi is the identity: the entries then hold
     only the squarefree multidegree blocks, otherwise one block per
-    bidegree."""
+    bidegree.  top is the dimension n + d of the space, d the largest
+    element rank: the entries of higher total degree hold no block."""
 
-    __slots__ = ("data", "ring", "bound", "squarefree", "face",
-                 "entries", "_layouts", "_monomials", "_skipped",
+    __slots__ = ("data", "ring", "bound", "squarefree", "top", "face",
+                 "entries", "_layouts", "_monomials", "_on_demand",
                  "_columns", "_contractions", "_zeros")
 
     def __init__(self, data, ring, bound, face):
@@ -389,11 +400,12 @@ class TorTable:
         self.ring = ring
         self.bound = bound
         self.squarefree = data.is_identity_chi
+        self.top = data.n + max(data.poset.by_rank)
         self.face = face
         self.entries = {}
         self._layouts = {}
         self._monomials = {}
-        self._skipped = {}
+        self._on_demand = {}
         self._columns = {}
         self._contractions = {}
         self._zeros = {}
@@ -530,10 +542,9 @@ class TorTable:
                     block.kernel_coords(self.ring, w_local))
                 coords[pos:pos + block.size] = free + tors
             seen = sum(len(w_local) for w_local in touched.values())
-            # keys in skipped multidegrees lie in exact blocks: zero class
-            if seen != len(comp) and not (
-                    self.squarefree
-                    and all(self._is_basis_key(key) for key in comp)):
+            # a basis key outside every built block lies in a zero block
+            if seen != len(comp) and not all(self._is_basis_key(key)
+                                             for key in comp):
                 raise ValueError("element key outside the bidegree basis "
                                  "at %r" % (bd,))
         return CohomologyClass(self, ztotal, tuple(coords))
@@ -551,13 +562,17 @@ class TorTable:
             entry = self.entries[bd]
             touched = entry.local_parts(comp)
             parts = [(entry.blocks[b], touched[b]) for b in sorted(touched)]
-            if self.squarefree:
+            # the keys outside every built block, by the block of each
+            index = entry.key_index()[0]
+            rest = [key for key in comp if key not in index]
+            if not self.squarefree:
+                mus = {()} if rest else ()
+            else:
                 mus = {_multidegree(self.data, self.face, ambient_pos, key)
-                       for key in comp}
-                for mu in sorted(mus):
-                    if any(x > 1 for x in mu):
-                        block = self.multidegree_block(bd, mu)
-                        parts.append((block, block.local(comp)))
+                       for key in rest}
+            for mu in sorted(mus):
+                block = self.multidegree_block(bd, mu)
+                parts.append((block, block.local(comp)))
             for block, w_local in parts:
                 y = block.kernel_coords(self.ring, w_local)
                 if not y:
@@ -577,27 +592,32 @@ class TorTable:
         return witness
 
     def multidegree_block(self, bidegree, mu):
-        """The block of multidegree mu (a tuple over the ambient vertices)
-        in a bidegree, built on demand; for squarefree tables, whose
-        entries leave out the multidegrees that are not squarefree."""
-        if not self.squarefree:
-            raise ValueError("only squarefree tables build blocks on demand")
+        """The block of multidegree mu in a bidegree, built on demand with
+        its cokernel, for the blocks compute_tor leaves out.  On a
+        squarefree table mu is a tuple over the ambient vertices; any
+        other table has one block per bidegree, with mu = ()."""
         k, t = -bidegree[0], bidegree[1]
-        if len(mu) != len(self.data.vertices) or 2 * sum(mu) != t:
+        if not self.squarefree:
+            if mu != ():
+                raise ValueError("the blocks of a table without multidegree "
+                                 "blocks are whole bidegrees, mu = ()")
+        elif len(mu) != len(self.data.vertices) or 2 * sum(mu) != t:
             raise ValueError("multidegree %r does not lie in bidegree %r"
                              % (mu, bidegree))
-        block = self._skipped.get((bidegree, mu))
+        block = self._on_demand.get((bidegree, mu))
         if block is None:
-            face = self.face
-            poset_pos = _poset_positions(self.data)
-            out = _multidegree_keys(face, poset_pos, mu, k - 1)
-            block = _Block(self.ring,
-                           _multidegree_keys(face, poset_pos, mu, k),
-                           {key: i for i, key in enumerate(out)},
-                           _multidegree_keys(face, poset_pos, mu, k + 1),
-                           self.column)
+            if self.squarefree:
+                poset_pos = _poset_positions(self.data)
+                keys = [_multidegree_keys(self.face, poset_pos, mu, j)
+                        for j in (k - 1, k, k + 1)]
+            else:
+                keys = [bidegree_basis(self.face, self.data.n, j, t)
+                        for j in (k - 1, k, k + 1)]
+            block = _Block(self.ring, keys[1],
+                           {key: i for i, key in enumerate(keys[0])},
+                           keys[2], self.column)
             block.finish(self.ring, self.column)
-            self._skipped[(bidegree, mu)] = block
+            self._on_demand[(bidegree, mu)] = block
         return block
 
     def _components(self, z):
@@ -666,12 +686,35 @@ def _multidegree_keys(face, poset_pos, mu, k):
     return tuple(keys)
 
 
-def _squarefree_keys(face, poset_pos, n, t, ks):
+def _cone_test(poset, poset_pos):
+    """On a simplicial complex, whether the full subcomplex K_W on a
+    vertex set W, a bit mask over the ambient vertices, is a cone: some
+    vertex v of W with sigma + v a face for every face sigma inside W.
+    Each such sigma lies in F & W for a facet F, and faces are closed
+    under subsets, so the facets suffice.  None on a simplicial poset:
+    the two edges of a digon pass the test, yet it is a circle."""
+    if not poset.is_complex:
+        return None
+    bits = {p: 1 << i for i, p in enumerate(poset_pos) if p is not None}
+    faces = {sum(bits[p] for p in poset.vkey[e]) for e in poset.elements}
+    facets = [sum(bits[p] for p in poset.vkey[e]) for e in poset.maximal]
+
+    def is_cone(w):
+        traces = {f & w for f in facets}
+        return any(all((tr | v) in faces for tr in traces)
+                   for v in bits.values() if v & w)
+    return is_cone
+
+
+def _squarefree_keys(face, poset_pos, n, t, ks, is_cone):
     """{k: {mu: keys}} over the squarefree multidegrees mu of internal
     degree t: a vertex set W of size t/2, keys (S, t_sigma) with S a
-    k-subset of W and sigma an element on the rest of W."""
+    k-subset of W and sigma an element on the rest of W.  The vertex sets
+    W that is_cone accepts (_cone_test; None accepts none) are left out."""
     grouped = {k: {} for k in ks}
     for w in combinations(range(n), t // 2):
+        if is_cone is not None and is_cone(sum(1 << i for i in w)):
+            continue
         mu = tuple(1 if i in w else 0 for i in range(n))
         for k in ks:
             keys = _multidegree_keys(face, poset_pos, mu, k)
@@ -686,11 +729,14 @@ def compute_tor(data, ring, bound=None):
 
     With identity chi each bidegree is split into its squarefree
     multidegree blocks, on complexes and posets alike; with any other chi
-    each bidegree is solved whole.  Per internal degree every block runs
-    its kernel Smith form first, in ascending k and sorted multidegree;
-    then each block is finished from the rank and the unit diagonal of
-    the block one step up in the same multidegree: an acyclic block gets
-    the zero cokernel, any other one the cokernel of its image."""
+    each bidegree is solved whole.  Bidegrees of total degree above
+    table.top get an entry without blocks, and on a complex identity chi
+    builds no multidegree whose full subcomplex is a cone.  Per internal
+    degree every block runs its kernel Smith form first, in ascending k
+    and sorted multidegree; then each block is finished from the rank and
+    the unit diagonal of the block one step up in the same multidegree:
+    an acyclic block gets the zero cokernel, any other one the cokernel
+    of its image."""
     data.ensure_valid()
     if bound is None:
         bound = len(data.vertices) + data.n
@@ -700,14 +746,18 @@ def compute_tor(data, ring, bound=None):
     table = TorTable(data, ring, bound, face)
     n = data.n
     poset_pos = _poset_positions(data)
+    is_cone = (_cone_test(data.poset, poset_pos) if table.squarefree
+               else None)
     for t in range(0, bound + n + 1, 2):
         kmax = min(n, t // 2)
         kmin = max(0, t - bound)
-        if kmin > kmax:
-            continue
-        ks = range(kmin - 1, kmax + 2)
-        if table.squarefree:
-            grouped = _squarefree_keys(face, poset_pos, n, t, ks)
+        # blocks from kcut on: total degree t - k at most top
+        kcut = max(kmin, t - table.top)
+        ks = range(kcut - 1, kmax + 2)
+        if kcut > kmax:
+            grouped = None
+        elif table.squarefree:
+            grouped = _squarefree_keys(face, poset_pos, n, t, ks, is_cone)
         else:  # the trivial grading: one block per bidegree
             grouped = {k: {(): bidegree_basis(face, n, k, t)} for k in ks}
         # every kernel form first, in ascending k: {k: {mu: block}}
@@ -715,6 +765,9 @@ def compute_tor(data, ring, bound=None):
         for k in range(kmin, kmax + 1):
             if not _has_monomials(face, t - 2 * k):
                 continue  # the bidegree basis is empty
+            if k < kcut:
+                blocks[k] = {}  # zero above top: an entry without blocks
+                continue
             here, out, inc = grouped[k], grouped[k - 1], grouped[k + 1]
             blocks[k] = {
                 mu: _Block(ring, here[mu],

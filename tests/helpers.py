@@ -6,8 +6,11 @@ from math import gcd
 from hypothesis import assume
 import hypothesis.strategies as st
 
+from facetor.exactalg import ExactMatrix
 from facetor.facering import _lift
+from facetor.koszul import compute_q
 from facetor.simplicial import CharacteristicData, SimplicialPoset
+from facetor.torcohomology import compute_tor, product_table
 
 
 def product_restrictions(face, f, g):
@@ -209,6 +212,83 @@ def small_poset_data(draw, max_vertices=4, n_max=3, max_copies=2):
     data = CharacteristicData(poset, ambient, chi, n)
     assert data.validate() == []
     return data
+
+
+# Simplicial spheres as (d, facets over 0..m-1), d the facet size: the
+# polygon boundaries on 3 to 6 vertices and the simplex boundaries of
+# dimension 0 to 2.
+_SPHERES = ([(2, [[i, (i + 1) % k] for i in range(k)]) for k in range(3, 7)]
+            + [(d, [list(f) for f in combinations(range(d + 1), d)])
+               for d in (1, 2, 3)])
+
+
+@st.composite
+def sphere_data(draw, n_max=3):
+    """Characteristic data on a simplicial sphere: a join of the spheres
+    of _SPHERES with facets of at most n_max vertices, in a lattice of
+    rank n between the facet size and n_max.  chi is drawn one vertex at
+    a time among the primitive vectors with entries in {-1, 0, 1} that
+    keep every facet part of a lattice basis.  X is then a closed
+    orientable manifold of dimension n + d, d the facet size."""
+    facets, d = [[]], 0
+    while d < n_max and (d == 0 or draw(st.booleans())):
+        piece_d, piece = draw(st.sampled_from(
+            [sphere for sphere in _SPHERES if d + sphere[0] <= n_max]))
+        tag = chr(97 + d)
+        facets = [f + ["%s%d" % (tag, v) for v in g]
+                  for f in facets for g in piece]
+        d += piece_d
+    poset = SimplicialPoset.from_facets(facets)
+    n = draw(st.integers(d, n_max))
+    vectors = _primitive_vectors(n, 1)
+    chi = {}
+    for v in poset.vertices:
+        fits = [x for x in vectors
+                if all(_extends_to_basis([chi[u] for u in f if u in chi]
+                                         + [x])
+                       for f in facets if v in f)]
+        assume(fits)
+        chi[v] = draw(st.sampled_from(fits))
+    data = CharacteristicData(poset, poset.vertices, chi, n)
+    assert data.validate() == []
+    return data
+
+
+def poincare_duality_problems(data, ring):
+    """Poincare duality of X = Z_P x_{T^m} T^n over a field, for sphere
+    data, where X is a closed orientable manifold of dimension N = n + d
+    (d the largest element rank): rank H^N = 1, rank H^j = rank H^(N-j)
+    for every j up to the table bound (zero above N), and the pairing
+    H^j x H^(N-j) -> H^N of the twisted product table is perfect.  N is
+    read off the poset here, not off the table.  Returns a list of
+    problem strings."""
+    table = compute_tor(data, ring)
+    top = data.n + max(len(vs) for vs in data.poset.vertex_set.values())
+    ranks = [table.layout(j).size for j in range(table.bound + 1)]
+    problems = []
+    if ranks[top] != 1:
+        problems.append("rank H^%d is %d, not 1" % (top, ranks[top]))
+    for j, r in enumerate(ranks):
+        dual = ranks[top - j] if j <= top else 0
+        if r != dual:
+            problems.append("rank H^%d is %d, rank H^%d is %d"
+                            % (j, r, top - j, dual))
+    if problems:
+        return problems
+    products = product_table(table, compute_q(data))
+    by_total = {}
+    for g in products.generators:
+        by_total.setdefault(g.total, []).append(g.gid)
+    for j in range(top + 1):
+        left, right = by_total.get(j, ()), by_total.get(top - j, ())
+        pairing = ExactMatrix(len(left), len(right), ring)
+        for a, ga in enumerate(left):
+            for b, gb in enumerate(right):
+                pairing.set(a, b, products.product(ga, gb).coords[0])
+        if left and pairing.rank() != len(left):
+            problems.append("the pairing of H^%d with H^%d is degenerate"
+                            % (j, top - j))
+    return problems
 
 
 # The quotient-large document of the quotient-cli benchmark at its default

@@ -609,5 +609,9 @@ def test_cached_pivots_match_full_scan_on_a_quotient():
     data = parse_data_document(QUOTIENT_LARGE)
     with checked_pivots() as picks:
         table = compute_tor(data, QQ)
+        # and the blocks of the bidegrees above the dimension, on demand
+        for bd, entry in table.entries.items():
+            if not entry.blocks:
+                table.multidegree_block(bd, ())
     assert len(table.entries) == 24
     assert len(picks) > 1000

@@ -10,9 +10,9 @@ from hypothesis import (HealthCheck, example, given, settings,
 from facetor import exactalg
 from facetor.documents import parse_data_document
 from facetor.exactalg import CoefficientRing, ExactMatrix
-from facetor.facering import FaceRing, convert_element, monomial_degree
-from facetor.koszul import (TwistData, _add_term, bidegree_basis, compute_q,
-                            contract, differential, star_product,
+from facetor.facering import FaceRing, convert_element
+from facetor.koszul import (TwistData, _add_term, bidegree, bidegree_basis,
+                            compute_q, contract, differential, star_product,
                             total_degree, total_degree_basis, wedge_product)
 from facetor.simplicial import CharacteristicData, SimplicialPoset
 from facetor.torcohomology import (_ZERO_COKERNEL, _Block,
@@ -22,9 +22,10 @@ from facetor.torcohomology import (_ZERO_COKERNEL, _Block,
                                    uct_report)
 
 from helpers import (DOUBLED_PENTAGON, QUOTIENT_LARGE, cstar2_data,
-                     cycle_facets, double_edge_poset, product_restrictions,
-                     rebased, rp2_facets, small_characteristic_data,
-                     small_complex_facets, small_poset_data, solid_simplex,
+                     cycle_facets, double_edge_poset, poincare_duality_problems,
+                     product_restrictions, rebased, rp2_facets,
+                     small_characteristic_data, small_complex_facets,
+                     small_poset_data, solid_simplex, sphere_data,
                      two_points_classes)
 
 QQ = CoefficientRing.rationals()
@@ -115,6 +116,8 @@ def test_table_bound_and_method_validation():
         compute_tor(data, QQ, bound=-1)
     with pytest.raises(TypeError):
         compute_tor(data, QQ, method="blocks")
+    with pytest.raises(ValueError, match="whole bidegrees"):
+        small.multidegree_block((-1, 2), (1, 0, 0, 0))
 
 
 def test_methods_agree_on_moment_angle():
@@ -124,7 +127,10 @@ def test_methods_agree_on_moment_angle():
         blocks = compute_tor(data, ring)
         general = compute_tor(rebased(data), ring)
         assert blocks.squarefree and not general.squarefree
-        assert all(len(e.blocks) == 1 for e in general.entries.values())
+        for bd, entry in general.entries.items():
+            # above the dimension the one block is built on demand, and zero
+            (block,) = entry.blocks or (general.multidegree_block(bd, ()),)
+            assert entry.blocks or block.size == 0
         assert_same_ranks_and_torsion(blocks, general)
 
 
@@ -343,47 +349,97 @@ def test_uct_two_points_and_cp2():
     assert uct_report(cp2, 2) == []
 
 
+@given(sphere_data(), st.sampled_from((QQ, F2)))
+@example(moment_angle(cycle_facets(5)), QQ)  # Z_K itself, N = 5 + 2
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+def test_poincare_duality_on_spheres(data, ring):
+    # the check of the top degree N that does not read table.top
+    assert poincare_duality_problems(data, ring) == []
+
+
 # ---------------------------------------------------------------------------
 # Squarefree blocks (identity chi, on complexes and posets).
 
 F3 = CoefficientRing.integers_mod(3)
 
 
-def multidegrees_by_bidegree(table):
-    """{bidegree: set of multidegrees} of the full Koszul basis within the
-    table bound, computed from the exponent vectors of the keys."""
+def key_multidegree(data, face, key):
+    """The multidegree of a Koszul key (S, m) over the ambient vertices."""
+    S, mono = key
+    mu = [0] * len(data.vertices)
+    for i in S:
+        mu[i - 1] += 1
+    for p, e in enumerate(face.exponent_vector(mono)):
+        mu[data.vertex_index[data.poset.vertices[p]]] += e
+    return tuple(mu)
+
+
+def cut_by_topology(data, face, key):
+    """Whether the block of a key is zero by topology alone: its total
+    degree exceeds N = n + d, the dimension of the space (d the largest
+    element rank), or chi is the identity on a complex and its multidegree
+    W is squarefree with a cone K_W, some vertex of W in every maximal
+    face of the full subcomplex on W (Hochster's formula)."""
+    if total_degree(data.poset, key) > data.n + max(data.poset.by_rank):
+        return True
+    if not (data.is_identity_chi and data.poset.is_complex):
+        return False
+    mu = key_multidegree(data, face, key)
+    if any(x > 1 for x in mu):
+        return False
+    sub = data.poset.full_subcomplex(
+        {v for v, x in zip(data.vertices, mu) if x} - data.ghosts)
+    return any(all(v in sub.vertex_set[e] for e in sub.maximal)
+               for v in sub.vertices)
+
+
+def keys_by_block(table):
+    """{(bidegree, multidegree): keys} of the full Koszul basis within the
+    table bound, multidegrees from the exponent vectors of the keys; ()
+    stands for the whole bidegree when chi is not the identity."""
     data, face = table.data, table.face
-    pos = [data.vertex_index[v] for v in data.poset.vertices]
     out = {}
     for d in range(table.bound + 1):
-        for S, mono in total_degree_basis(data, d, face):
-            mu = [0] * len(data.vertices)
-            for i in S:
-                mu[i - 1] += 1
-            for p, e in enumerate(face.exponent_vector(mono)):
-                mu[pos[p]] += e
-            bd = (-len(S), monomial_degree(face.poset, mono) + 2 * len(S))
-            out.setdefault(bd, set()).add(tuple(mu))
+        for key in total_degree_basis(data, d, face):
+            mu = key_multidegree(data, face, key) if table.squarefree else ()
+            out.setdefault((bidegree(data.poset, key), mu), []).append(key)
     return out
 
 
-@given(moment_angle_data(max_vertices=4), st.sampled_from((QQ, ZZ, F3)))
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(moment_angle_data(max_vertices=4),
+                 small_characteristic_data(max_vertices=4),
+                 small_poset_data(),
+                 moment_angle_data(max_vertices=4).map(rebased)),
+       st.sampled_from((QQ, ZZ, F2, F3)))
+@example(moment_angle(rp2_facets()), ZZ)  # Z/2 at (-3, 12), degree N = 9
+@example(moment_angle(rp2_facets()), F2)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
 def test_skipped_blocks_are_acyclic(data, ring):
+    # compute_tor builds exactly the blocks that topology does not prove
+    # zero; each other one, built on demand, has a zero cokernel: the
+    # multidegrees that are not squarefree, the cones of complexes
+    # (cut_by_topology) and every block above the dimension N
     table = compute_tor(data, ring)
-    assert table.squarefree
-    for bd, mus in multidegrees_by_bidegree(table).items():
-        built = {key for block in table.entries[bd].blocks
-                 for key in block.keys}
-        for mu in mus:
-            if all(x <= 1 for x in mu):
-                continue
-            block = table.multidegree_block(bd, mu)
-            assert block.keys and not built & set(block.keys)
-            assert block.coker.free_rank == 0
-            assert not block.coker.torsion
-    assert_same_ranks_and_torsion(table, compute_tor(rebased(data), ring))
+    for (bd, mu), keys in keys_by_block(table).items():
+        built = [block for block in table.entries[bd].blocks
+                 if keys[0] in block.index]
+        cut = (any(x > 1 for x in mu)
+               or cut_by_topology(data, table.face, keys[0]))
+        if not cut:
+            (block,) = built
+            assert block.keys == tuple(keys)
+            continue
+        assert not built
+        block = table.multidegree_block(bd, mu)
+        assert block.keys == tuple(keys)
+        assert block.coker.free_rank == 0
+        assert not block.coker.torsion
+    if table.squarefree:
+        assert_same_ranks_and_torsion(table, compute_tor(rebased(data), ring))
 
 
 @given(st.one_of(small_characteristic_data(max_vertices=4),
@@ -706,7 +762,8 @@ def test_kernel_coords_match_row_dots_on_a_quotient():
             return differential({key: ring.one()}, data, ring, face)
 
         for (j, t), entry in table.entries.items():
-            (block,) = entry.blocks
+            # above the dimension the one block is built on demand
+            (block,) = entry.blocks or (table.multidegree_block((j, t), ()),)
             out = {key: i for i, key in
                    enumerate(bidegree_basis(face, data.n, -j - 1, t))}
             cols = [{out[key2]: c for key2, c in dvec(key).items()}
@@ -773,36 +830,6 @@ def test_euler_oracle_matches_tables(data, ring, draw):
     oracle = euler_oracle(data, bound)
     assert all(t <= bound for t in oracle)
     assert euler_characteristics(compute_tor(data, ring, bound)) == oracle
-
-
-def key_multidegree(data, face, key):
-    """The multidegree of a Koszul key (S, m) over the ambient vertices."""
-    S, mono = key
-    mu = [0] * len(data.vertices)
-    for i in S:
-        mu[i - 1] += 1
-    for p, e in enumerate(face.exponent_vector(mono)):
-        mu[data.vertex_index[data.poset.vertices[p]]] += e
-    return tuple(mu)
-
-
-def cut_by_topology(data, face, key):
-    """Whether the block of a key is zero by topology alone: its total
-    degree exceeds N = n + d, the dimension of the space (d the largest
-    element rank), or chi is the identity on a complex and its multidegree
-    W is squarefree with a cone K_W, some vertex of W in every maximal
-    face of the full subcomplex on W (Hochster's formula)."""
-    if total_degree(data.poset, key) > data.n + max(data.poset.by_rank):
-        return True
-    if not (data.is_identity_chi and data.poset.is_complex):
-        return False
-    mu = key_multidegree(data, face, key)
-    if any(x > 1 for x in mu):
-        return False
-    sub = data.poset.full_subcomplex(
-        {v for v, x in zip(data.vertices, mu) if x} - data.ghosts)
-    return any(all(v in sub.vertex_set[e] for e in sub.maximal)
-               for v in sub.vertices)
 
 
 def smith_call_digest(monkeypatch, data, rings):
