@@ -613,11 +613,72 @@ def test_map_rejects_mismatched_names(capsys, docs):
     assert "names" in err
 
 
+OMEGA = """\
+omega for cstar2-p1 over QQ (total degree <= 7)
+g(0,0;0) -> g(0,0;0)
+g(-1,2;0) -> g(-1,2;0)
+g(-1,2;1) -> g(-1,2;1)
+g(0,2;0) -> g(0,2;0)
+g(-2,4;0) -> g(0,2;0) + g(-2,4;0)
+g(-1,4;0) -> g(-1,4;0)
+g(-1,4;1) -> g(-1,4;1)
+g(-2,6;0) -> g(-2,6;0)
+product intertwining: ok (63 pairs)
+"""
+
+
 def test_omega(capsys, docs):
-    rc, out, _ = run_cli(capsys, "omega", docs["cstar2"])
-    assert rc == 0
-    assert "g(-2,4;0) -> g(0,2;0) + g(-2,4;0)" in out
-    assert "product intertwining: ok" in out
+    assert run_cli(capsys, "omega", docs["cstar2"]) == (0, OMEGA, "")
+
+
+OMEGA_STRUCTURED = """\
+{
+  "coefficients": "q",
+  "document": "omega",
+  "images": [
+    {
+      "generator": "g(0,0;0)",
+      "image": "g(0,0;0)"
+    },
+    {
+      "generator": "g(-1,2;0)",
+      "image": "g(-1,2;0)"
+    },
+    {
+      "generator": "g(-1,2;1)",
+      "image": "g(-1,2;1)"
+    },
+    {
+      "generator": "g(0,2;0)",
+      "image": "g(0,2;0)"
+    },
+    {
+      "generator": "g(-2,4;0)",
+      "image": "g(0,2;0) + g(-2,4;0)"
+    },
+    {
+      "generator": "g(-1,4;0)",
+      "image": "g(-1,4;0)"
+    },
+    {
+      "generator": "g(-1,4;1)",
+      "image": "g(-1,4;1)"
+    },
+    {
+      "generator": "g(-2,6;0)",
+      "image": "g(-2,6;0)"
+    }
+  ],
+  "intertwines": true,
+  "max_total_degree": 7,
+  "name": "cstar2-p1"
+}
+"""
+
+
+def test_omega_structured_frozen(capsys, docs):
+    assert run_cli(capsys, "omega", docs["cstar2"], "--format",
+                   "structured") == (0, OMEGA_STRUCTURED, "")
 
 
 def test_omega_integer_refusal(capsys, docs):
