@@ -44,11 +44,13 @@ degree, free coordinates first and torsion coordinates reduced mod their
 invariants; reduce and coboundary_witness find the blocks that hold an
 element's keys through an index per entry, and the zero class of each
 total degree is built once.  Product tables reduce pairwise products of
-representatives; a Hochster-style oracle recomputes moment-angle ranks
-from the reduced cohomology of full subposets, euler_oracle gives the
-alternating rank sum of every internal degree from the f-vector alone,
-for every chi, and uct_report cross-checks the mod-p tables against the
-rational and integral ones.
+representatives, except in a total degree that holds no generator over
+the table's ring: such a product can only be zero, and it is stored as
+the zero class without being built.  A Hochster-style oracle recomputes
+moment-angle ranks from the reduced cohomology of full subposets,
+euler_oracle gives the alternating rank sum of every internal degree from
+the f-vector alone, for every chi, and uct_report cross-checks the mod-p
+tables against the rational and integral ones.
 """
 
 from fractions import Fraction
@@ -844,8 +846,12 @@ class ProductTable:
     def multiply_classes(self, x, y):
         """Bilinear extension of the generator products to classes."""
         table = self.table
+        if x.table is not table or y.table is not table:
+            raise ValueError("class does not live in the product table")
         total = x.total + y.total
         acc = table.zero_class(total)
+        if not acc.coords:
+            return acc
         gx = [g for g in self.generators if g.total == x.total]
         gy = [g for g in self.generators if g.total == y.total]
         for ga, ca in zip(gx, x.coords):
@@ -860,16 +866,22 @@ class ProductTable:
 
 def product_table(table, twist=None):
     """Reduce all products of representatives; twist None means the
-    untwisted wedge product."""
+    untwisted wedge product.  A product whose total degree has an empty
+    layout, no free and no torsion generator over the table's ring, can
+    only be the zero class: it is stored as that class, neither built nor
+    reduced."""
     products = {}
     for g1, g2 in table.generator_pairs():
+        total = g1.total + g2.total
+        if not table.layout(total).size:
+            products[(g1.gid, g2.gid)] = table.zero_class(total)
+            continue
         if twist is None:
             z = wedge_product(g1.element, g2.element, table.ring, table.face)
         else:
             z = star_product(g1.element, g2.element, twist, table.ring,
                              table.face)
-        products[(g1.gid, g2.gid)] = table.reduce(z,
-                                                  total=g1.total + g2.total)
+        products[(g1.gid, g2.gid)] = table.reduce(z, total=total)
     return ProductTable(table, twist, tuple(table.generator_list()), products)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-from facetor import exactalg
+from facetor import exactalg, torcohomology
 from facetor.documents import parse_data_document
 from facetor.exactalg import CoefficientRing, ExactMatrix
 from facetor.facering import FaceRing, convert_element
@@ -268,6 +268,63 @@ def test_products_graded_commutative():
                 sign = -1 if (g1.total % 2) and (g2.total % 2) else 1
                 assert pt.product(g1.gid, g2.gid) == \
                     pt.product(g2.gid, g1.gid).scale(sign)
+
+
+@pytest.mark.parametrize("data, built, pairs", [
+    (parse_data_document(DOUBLED_PENTAGON), 28, 64),
+    (cstar2_data(), 39, 63)])
+def test_products_in_zero_degrees_are_not_built(monkeypatch, data, built,
+                                                 pairs):
+    calls = []
+    for name in ("star_product", "wedge_product"):
+        real = getattr(torcohomology, name)
+        monkeypatch.setattr(torcohomology, name,
+                            lambda *args, real=real: calls.append(args)
+                            or real(*args))
+    table = compute_tor(data, QQ)
+    for twist in (compute_q(data), None):
+        calls.clear()
+        assert len(product_table(table, twist).products) == pairs
+        assert len(calls) == built
+
+
+@given(st.one_of(small_characteristic_data(max_vertices=4),
+                 small_poset_data()),
+       st.sampled_from((QQ, ZZ, F2, F3)))
+@example(moment_angle(rp2_facets()), QQ)  # degrees 8 and 9 empty over QQ
+@example(moment_angle(rp2_facets()), F2)  # but not over Z/2
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+def test_skipped_products_reduce_to_zero(data, ring):
+    # product_table stores the zero class, unbuilt, for every pair whose
+    # total degree has an empty layout; build both products of every
+    # pair and reduce them, cocycle check included, against the tables
+    table = compute_tor(data, ring)
+    q = compute_q(data)
+    twisted, untwisted = product_table(table, q), product_table(table, None)
+    for g1, g2 in table.generator_pairs():
+        total = g1.total + g2.total
+        star = table.reduce(star_product(g1.element, g2.element, q, ring,
+                                         table.face), total=total)
+        wedge = table.reduce(wedge_product(g1.element, g2.element, ring,
+                                           table.face), total=total)
+        assert twisted.product(g1.gid, g2.gid) == star
+        assert untwisted.product(g1.gid, g2.gid) == wedge
+        if not table.layout(total).size:
+            assert star == wedge == table.zero_class(total)
+
+
+def test_multiply_classes_rejects_classes_of_another_table():
+    data = cstar2_data()
+    rational, integral = compute_tor(data, QQ), compute_tor(data, ZZ)
+    a1, _, _, _ = two_points_classes(rational)
+    b1, b2, b, _ = two_points_classes(integral)
+    x3 = rational.generator_class((-1, 4), 0)  # total 3 + 2 is a zero group
+    products = product_table(integral, compute_q(data))
+    for x, y in ((a1, b2), (b1, a1), (x3, b)):
+        with pytest.raises(ValueError, match="product table"):
+            products.multiply_classes(x, y)
 
 
 def test_compare_products_agreement_cases():
