@@ -793,6 +793,8 @@ class PreparedSolver:
     solution matrix V[:, :r] @ U[:r, :] and the consistency rows U[r:, :].
     solve(b) returns that matrix times b, or None when the consistency rows
     do not annihilate b.  With full column rank the solution is unique.
+    Only the face ring's restriction oracle (FaceRing._degree_system)
+    builds one.
     """
 
     __slots__ = ("nrows", "ncols", "rank", "_solution", "_consistency")

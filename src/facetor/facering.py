@@ -21,13 +21,13 @@ bounds rho of s and t, applied until the generators form a chain
 multiply is the bilinear extension of that memo on complexes and posets
 alike.
 
-Pullbacks are resolved against the standard basis through the joint
-restriction to the polynomial rings of the maximal faces, which is
-injective; the per-degree solver is prepared once over QQ and reused,
-with results converted back into the requested coefficient ring.
-Pullbacks have one route, restriction and gluing, on complexes and
-posets alike: restrictions that do not glue raise LimitPresentationError
-rather than giving a value.
+A pullback along a face map (FaceRingMap) is the product of its
+generators' images, each a closed form over the same integer memo; it
+solves no linear system.  The joint restriction to the polynomial rings of
+the maximal faces is injective, and restrict with _resolve, one solver per
+degree prepared over QQ, resolves an element against the standard basis
+through it: no running path uses that route, which stays as the
+independent oracle for products and pullbacks.
 """
 
 from __future__ import annotations
@@ -37,11 +37,13 @@ from fractions import Fraction
 from .exactalg import CoefficientRing, ExactMatrix, PreparedSolver
 
 _QQ = CoefficientRing.rationals()
+_ZZ = CoefficientRing.integers()
 
 
 class LimitPresentationError(RuntimeError):
-    """The joint restriction to maximal faces failed to resolve an
-    element: corrupted input data or an internal inconsistency."""
+    """A face-ring map or restriction system that cannot give a value:
+    lift columns that do not respect the face map, or restrictions to the
+    maximal faces that do not glue."""
 
 
 def monomial_degree(poset, mono):
@@ -78,10 +80,6 @@ def format_element(f):
     return "".join(parts)
 
 
-def _lift(f):
-    return {mono: Fraction(c) for mono, c in f.items()}
-
-
 def convert_element(f, ring):
     """Convert the coefficients of a face-ring element, dropping zeros."""
     out = {}
@@ -89,21 +87,6 @@ def convert_element(f, ring):
         v = ring.convert(c)
         if v:
             out[mono] = v
-    return out
-
-
-def _poly_mul_linear(poly, form):
-    """Multiply a dense-exponent-keyed polynomial by a linear form given as
-    {variable position: coefficient}."""
-    out = {}
-    for key, c in poly.items():
-        for pos, a in form.items():
-            k2 = key[:pos] + (key[pos] + 1,) + key[pos + 1:]
-            w = out.get(k2, 0) + c * a
-            if w:
-                out[k2] = w
-            else:
-                out.pop(k2, None)
     return out
 
 
@@ -377,79 +360,70 @@ class FaceRing:
 
 
 class FaceRingMap:
-    """Degree-preserving map k[target] -> k[source] induced by a face map
-    nu (source poset elements -> target poset elements) and integer vertex
-    columns {source vertex: {target vertex: int}}.
+    """Degree-preserving ring map k[target] -> k[source] induced by a face
+    map nu (source poset elements -> target poset elements) and integer
+    vertex columns {source vertex: {target vertex: int}}.
 
-    On the polynomial ring of each maximal source face, the map restricts
-    an element to nu of that face and substitutes the linear forms given by
-    the columns; the results are glued back by resolving them against the
-    source basis.  This is the only route, for complexes and posets alike.
-    Restrictions that do not glue, as columns that do not respect nu can
-    give, raise LimitPresentationError instead of returning a value.
+    With L_v = sum over source vertices v' of col[v'][v] * t_{v'}, the
+    image of t_tau is the product of L_v over the vertices v of tau, taken
+    through the integer product memo, less the monomials whose top element
+    rho misses tau <= nu(rho): a product of vertex generators is the sum of
+    the standard monomials of its exponent vector, one per element rho
+    over its support.  A monomial maps to the product of its generators'
+    images.  Columns that do not respect nu (col[v'][v] nonzero with v
+    outside V(nu(v'))) raise LimitPresentationError when the map is called.
     """
 
-    __slots__ = ("target", "source", "nu", "columns")
+    __slots__ = ("target", "source", "nu", "columns", "_stray")
 
     def __init__(self, target, source, nu, columns):
         self.target = target
         self.source = source
         self.nu = dict(nu)
         self.columns = {v: dict(col) for v, col in columns.items()}
-        for e in source.poset.elements:
+        sp, tp = source.poset, target.poset
+        for e in sp.elements:
             img = self.nu.get(e)
             if img is None:
                 raise ValueError("nu does not cover source element %r" % e)
-            if img not in target.poset.vertex_set:
+            if img not in tp.vertex_set:
                 raise ValueError("nu image %r is not a target element" % img)
-        if self.nu[source.poset.bottom] != target.poset.bottom:
+        if self.nu[sp.bottom] != tp.bottom:
             raise ValueError("nu must send the empty face to the empty face")
+        for vp in self.columns:
+            if vp not in sp.atom:
+                raise ValueError("column key %r is not a source vertex"
+                                 % (vp,))
+        self._stray = [(vp, v) for vp, col in self.columns.items()
+                       for v, a in col.items()
+                       if a and v not in tp.vertex_set[self.nu[sp.atom[vp]]]]
 
     def __call__(self, f, ring):
-        if not f:
-            return {}
-        return self.source._resolve(self._image_restrictions(f), ring)
+        if self._stray:
+            raise LimitPresentationError(
+                "lift columns reach outside nu of their vertex: %r"
+                % (self._stray,))
+        out = {}
+        for mono, c in convert_element(f, ring).items():
+            img = {(): c}
+            for e, i in mono:
+                gen = convert_element(self._generator_image(e), ring)
+                for _ in range(i):
+                    img = self.source.multiply(img, gen, ring)
+            for m, v in img.items():
+                out[m] = out.get(m, 0) + v
+        return convert_element(out, ring)
 
-    def _image_restrictions(self, f):
-        """{degree: {(maximal source face index, exponent tuple): QQ}} for
-        the image of f, via restriction to nu and linear substitution."""
-        fq = _lift(f)
-        src, tgt = self.source, self.target
-        h = {}
-        for ti, tau_s in enumerate(src.poset.maximal):
-            tau_t = self.nu[tau_s]
-            p = tgt.restrict(fq, tau_t)
-            if not p:
-                continue
-            sverts = src.face_vertices(tau_s)
-            spos = {v: i for i, v in enumerate(sverts)}
-            forms = []
-            for v in tgt.face_vertices(tau_t):
-                form = {}
-                for v2 in sverts:
-                    a = self.columns.get(v2, {}).get(v, 0)
-                    if a:
-                        form[spos[v2]] = Fraction(a)
-                forms.append(form)
-            acc = {}
-            for expvec, c in p.items():
-                term = {(0,) * len(sverts): c}
-                for pos, a in enumerate(expvec):
-                    for _ in range(a):
-                        term = _poly_mul_linear(term, forms[pos])
-                        if not term:
-                            break
-                    if not term:
-                        break
-                for key, cc in term.items():
-                    w = acc.get(key, 0) + cc
-                    if w:
-                        acc[key] = w
-                    else:
-                        del acc[key]
-            for key, c in acc.items():
-                h.setdefault(2 * sum(key), {})[(ti, key)] = c
-        return h
+    def _generator_image(self, tau):
+        """The image of t_tau, over ZZ."""
+        src, tp = self.source, self.target.poset
+        img = {(): 1}
+        for v in self.target.face_vertices(tau):
+            img = src.multiply(img, {src.t_vertex(vp): col[v]
+                                     for vp, col in self.columns.items()
+                                     if col.get(v)}, _ZZ)
+        return {mono: c for mono, c in img.items()
+                if tp.le(tau, self.nu[mono[-1][0]])}
 
 
 def pullback(target, source, nu, columns, f, ring):

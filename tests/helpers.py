@@ -1,5 +1,6 @@
 """Shared strategies and small builders for the test suite."""
 
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -7,10 +8,70 @@ from hypothesis import assume
 import hypothesis.strategies as st
 
 from facetor.exactalg import ExactMatrix
-from facetor.facering import _lift
 from facetor.koszul import compute_q
 from facetor.simplicial import CharacteristicData, SimplicialPoset
 from facetor.torcohomology import compute_tor, product_table
+
+
+def _lift(f):
+    return {mono: Fraction(c) for mono, c in f.items()}
+
+
+def _poly_mul_linear(poly, form):
+    """Multiply a dense-exponent-keyed polynomial by a linear form given as
+    {variable position: coefficient}."""
+    out = {}
+    for key, c in poly.items():
+        for pos, a in form.items():
+            k2 = key[:pos] + (key[pos] + 1,) + key[pos + 1:]
+            w = out.get(k2, 0) + c * a
+            if w:
+                out[k2] = w
+            else:
+                out.pop(k2, None)
+    return out
+
+
+def pullback_restrictions(fmap, f):
+    """Restrictions of the pullback of f to every maximal source face, by
+    restricting f to nu of the face and substituting the linear forms the
+    columns give, bucketed as {degree: {(maximal index, exponent tuple):
+    QQ coefficient}}: with fmap.source._resolve, the restriction oracle
+    for FaceRingMap.  Restrictions that do not glue make _resolve raise
+    LimitPresentationError."""
+    fq = _lift(f)
+    src, tgt = fmap.source, fmap.target
+    h = {}
+    for ti, tau_s in enumerate(src.poset.maximal):
+        tau_t = fmap.nu[tau_s]
+        p = tgt.restrict(fq, tau_t)
+        if not p:
+            continue
+        sverts = src.face_vertices(tau_s)
+        spos = {v: i for i, v in enumerate(sverts)}
+        forms = []
+        for v in tgt.face_vertices(tau_t):
+            form = {}
+            for v2 in sverts:
+                a = fmap.columns.get(v2, {}).get(v, 0)
+                if a:
+                    form[spos[v2]] = Fraction(a)
+            forms.append(form)
+        acc = {}
+        for expvec, c in p.items():
+            term = {(0,) * len(sverts): c}
+            for pos, a in enumerate(expvec):
+                for _ in range(a):
+                    term = _poly_mul_linear(term, forms[pos])
+            for key, cc in term.items():
+                w = acc.get(key, 0) + cc
+                if w:
+                    acc[key] = w
+                else:
+                    del acc[key]
+        for key, c in acc.items():
+            h.setdefault(2 * sum(key), {})[(ti, key)] = c
+    return h
 
 
 def product_restrictions(face, f, g):

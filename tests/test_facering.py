@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from facetor.documents import parse_data_document
 from facetor.exactalg import CoefficientRing
@@ -15,10 +15,14 @@ from facetor.facering import (
     monomial_degree,
     pullback,
 )
-from facetor.simplicial import SimplicialPoset
+from facetor.simplicial import CharacteristicData, SimplicialPoset
+from facetor.toricmorphism import ToricMorphism, cox_projection, \
+    diagonal_morphism, lift, power_morphism
 
-from helpers import DOUBLED_HEXAGON, DOUBLED_PENTAGON, double_edge_poset, \
-    product_restrictions, small_complex_facets, solid_simplex
+from helpers import DOUBLED_HEXAGON, DOUBLED_PENTAGON, basis_change_source, \
+    cstar2_data, double_edge_poset, product_restrictions, \
+    pullback_restrictions, small_characteristic_data, small_complex_facets, \
+    small_poset_data, solid_simplex
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
@@ -437,9 +441,127 @@ def test_pullback_validation_errors():
     wrong_bottom = {e: "{a}" for e in fr.poset.elements}
     with pytest.raises(ValueError, match="empty face"):
         FaceRingMap(fr, fr, wrong_bottom, columns)
+    with pytest.raises(ValueError, match="column key"):
+        FaceRingMap(fr, fr, nu, dict(columns, ghost={"a": 1}))
     with pytest.raises(TypeError):
         FaceRingMap(fr, fr, nu, columns, method="limit")
     with pytest.raises(TypeError):
         pullback(fr, fr, nu, columns, {}, ZZ, method="limit")
     assert pullback(fr, fr, nu, columns, {fr.t_vertex("a"): 1}, ZZ) == \
         {fr.t_vertex("a"): 1}
+
+
+# ---------------------------------------------------------------------------
+# The closed form against the restriction oracle.
+
+RINGS = (QQ, ZZ, F3)
+
+
+def morphism_ringmap(phi):
+    """The face-ring map of a toric morphism: nu and the lifted columns of
+    the source poset vertices."""
+    lft = lift(phi)
+    columns = {vp: lft.columns[vp] for vp in phi.source.poset.vertices}
+    return FaceRingMap(FaceRing(phi.target.poset),
+                       FaceRing(phi.source.poset), phi.nu, columns)
+
+
+def morphism_of_kind(data, kind):
+    if kind == "cox":
+        return cox_projection(data)
+    if kind == "diagonal":
+        return diagonal_morphism(data)
+    return power_morphism(data, kind)
+
+
+def target_monomials(fmap, top):
+    return [mono for d in range(0, top + 1, 2)
+            for mono in fmap.target.basis_of_degree(d)]
+
+
+def restriction_pullback(fmap, f, ring):
+    """fmap(f, ring) by restriction to the maximal source faces, glued by
+    the face ring's QQ solve, or None when the restrictions do not glue."""
+    try:
+        return fmap.source._resolve(pullback_restrictions(fmap, f), ring)
+    except LimitPresentationError:
+        return None
+
+
+def closed_form_pullback(fmap, f, ring):
+    """fmap(f, ring), or None when the map refuses."""
+    try:
+        return fmap(f, ring)
+    except LimitPresentationError:
+        return None
+
+
+def assert_matches_restriction_oracle(fmap, ring):
+    for mono in target_monomials(fmap, 6):
+        want = fmap.source._resolve(
+            pullback_restrictions(fmap, {mono: 1}), ring)
+        assert fmap({mono: 1}, ring) == want
+
+
+@given(st.one_of(small_characteristic_data(), small_poset_data()),
+       st.sampled_from((0, 1, 2, 3, "cox", "diagonal")),
+       st.sampled_from(RINGS))
+@settings(max_examples=40, deadline=None)
+def test_pullback_matches_restriction_oracle(data, kind, ring):
+    assert_matches_restriction_oracle(
+        morphism_ringmap(morphism_of_kind(data, kind)), ring)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=str)
+def test_pullback_of_basis_change_matches_restriction_oracle(ring):
+    target = cstar2_data()
+    phi = ToricMorphism(basis_change_source(target), target,
+                        [[1, 0, 1], [0, 1, 1], [0, 0, 1]],
+                        {e: e for e in target.poset.elements})
+    assert_matches_restriction_oracle(morphism_ringmap(phi), ring)
+
+
+def test_pullback_refuses_columns_that_only_glue():
+    # The column of b reaches a, outside nu({b}) = {b}, which breaks the
+    # carrier condition.  The restrictions still glue, to t_a + t_b, but
+    # the closed form refuses.
+    fr = FaceRing(solid_simplex(1))
+    nu, _ = identity_map(fr)
+    fmap = FaceRingMap(fr, fr, nu, {"a": {"a": 1}, "b": {"a": 1, "b": 1}})
+    ta = {fr.t_vertex("a"): 1}
+    assert restriction_pullback(fmap, ta, ZZ) == \
+        {fr.t_vertex("a"): 1, fr.t_vertex("b"): 1}
+    with pytest.raises(LimitPresentationError):
+        fmap(ta, ZZ)
+
+
+TRIANGLE = CharacteristicData(triangle_boundary(), ["a", "b", "c"],
+                              {"a": (1, 0), "b": (0, 1), "c": (-1, -1)}, 2)
+
+
+@given(st.one_of(small_characteristic_data(), small_poset_data()),
+       st.sampled_from((0, 1, 2, "cox", "diagonal")),
+       st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                          st.integers(-1, 1)), max_size=3))
+@example(TRIANGLE, 1, [(0, 1, 1)])  # the restrictions of t_b do not glue
+@settings(max_examples=40, deadline=None)
+def test_pullback_refuses_what_the_restrictions_refuse(data, kind, shifts):
+    # Lift columns shifted at random entries: whenever the restrictions
+    # fail to glue, the closed form refuses too, and where both give a
+    # value they agree.
+    fmap = morphism_ringmap(morphism_of_kind(data, kind))
+    sources = fmap.source.poset.vertices
+    targets = fmap.target.poset.vertices
+    columns = fmap.columns
+    for i, j, c in shifts if sources and targets else ():
+        col = columns[sources[i % len(sources)]]
+        v = targets[j % len(targets)]
+        col[v] = col.get(v, 0) + c
+    shifted = FaceRingMap(fmap.target, fmap.source, fmap.nu, columns)
+    for mono in target_monomials(shifted, 4):
+        want = restriction_pullback(shifted, {mono: 1}, ZZ)
+        got = closed_form_pullback(shifted, {mono: 1}, ZZ)
+        if want is None:
+            assert got is None
+        elif got is not None:
+            assert got == want
