@@ -152,7 +152,9 @@ def cmd_tor(args):
     data = _checked_data(args.data)
     table = compute_tor(data, args.coeffs, bound=args.max_total_degree)
     if args.format == "structured":
-        entries = sorted(set(table.rank_table()) | set(table.torsion_table()),
+        ranks, torsion = table.rank_table(), table.torsion_table()
+        totals, total_torsion = table.total_ranks(), _torsion_by_total(table)
+        entries = sorted(set(ranks) | set(torsion),
                          key=lambda bd: (bd[1], -bd[0]))
         doc = {
             "document": "tor-table",
@@ -161,14 +163,13 @@ def cmd_tor(args):
             "max_total_degree": table.bound,
             "data": data_document(data),
             "entries": [{"bidegree": list(bd),
-                         "rank": table.rank_table().get(bd, 0),
-                         "torsion": list(table.torsion_table().get(bd, ()))}
+                         "rank": ranks.get(bd, 0),
+                         "torsion": list(torsion.get(bd, ()))}
                         for bd in entries],
             "totals": [{"total": d,
-                        "rank": table.total_ranks().get(d, 0),
-                        "torsion": _torsion_by_total(table).get(d, [])}
-                       for d in sorted(set(table.total_ranks())
-                                       | set(_torsion_by_total(table)))],
+                        "rank": totals.get(d, 0),
+                        "torsion": total_torsion.get(d, [])}
+                       for d in sorted(set(totals) | set(total_torsion))],
         }
         sys.stdout.write(dump_document(doc))
         return 0
@@ -270,13 +271,6 @@ def cmd_map(args):
     if args.variant in ("twisted", "both"):
         variants.append(("twisted", hat_tor_phi(phi, target_table,
                                                 source_table)))
-    gens = target_table.generator_list()
-    images = {
-        label: [(g.gid, induced.apply(
-            target_table.generator_class(g.bidegree, g.index)))
-            for g in gens]
-        for label, induced in variants}
-
     if args.format == "structured":
         doc = {"document": "induced-map",
                "name": phi.name,
@@ -286,10 +280,10 @@ def cmd_map(args):
                "max_total_degree": target_table.bound}
         if args.show_hatq:
             doc["hatq"] = _hatq_lines(phi)
-        for label, _ in variants:
+        for label, induced in variants:
             doc[label] = [{"generator": generator_name(gid),
                            "image": format_class(img)}
-                          for gid, img in images[label]]
+                          for gid, img in induced.images.items()]
         sys.stdout.write(dump_document(doc))
         return 0
     print("morphism %s: %s -> %s (over %s, total degree <= %d)" % (
@@ -299,9 +293,9 @@ def cmd_map(args):
     if args.show_hatq:
         for line in _hatq_lines(phi):
             print(line)
-    for label, _ in variants:
+    for label, induced in variants:
         print("%s images:" % label)
-        for gid, img in images[label]:
+        for gid, img in induced.images.items():
             print("  %s -> %s" % (generator_name(gid), format_class(img)))
     return 0
 
@@ -310,8 +304,6 @@ def cmd_omega(args):
     data = _checked_data(args.data)
     table = compute_tor(data, args.coeffs, bound=args.max_total_degree)
     straighten = omega(data, table)
-    images = [(g.gid, straighten.images[g.gid])
-              for g in table.generator_list()]
     failures, pairs = product_failures(
         straighten, product_table(table, compute_q(data)),
         product_table(table, None))
@@ -323,12 +315,12 @@ def cmd_omega(args):
                "max_total_degree": table.bound,
                "images": [{"generator": generator_name(gid),
                            "image": format_class(img)}
-                          for gid, img in images],
+                          for gid, img in straighten.images.items()],
                "intertwines": not failures}
         sys.stdout.write(dump_document(doc))
         return 0 if not failures else 1
     print("omega for " + _title(data, args.coeffs, table.bound))
-    for gid, img in images:
+    for gid, img in straighten.images.items():
         print("%s -> %s" % (generator_name(gid), format_class(img)))
     if failures:
         print("product intertwining: FAILED on %d pairs" % len(failures))

@@ -36,21 +36,25 @@ complex with identity chi a multidegree W whose full subcomplex K_W is a
 cone is contractible, so all its blocks are zero (the cone cut); posets
 keep those blocks, since a digon passes the same test yet is a circle.
 One rule covers every key outside the built blocks: reduce gives a basis
-key there zero coordinates after the cocycle check, and
-coboundary_witness builds its block on demand (multidegree_block).
+key there zero coordinates after the cocycle check.  compute_tor records
+every block it builds in the table's block store, and coboundary_witness
+reaches each block that holds a key of its element, built or not,
+through multidegree_block, which builds a missing one on demand.
 
 Classes are coordinate vectors over the representatives of one total
 degree, free coordinates first and torsion coordinates reduced mod their
-invariants; reduce and coboundary_witness find the blocks that hold an
-element's keys through an index per entry, and the zero class of each
-total degree is built once.  Product tables reduce pairwise products of
-representatives, except in a total degree that holds no generator over
-the table's ring: such a product can only be zero, and it is stored as
-the zero class without being built.  A Hochster-style oracle recomputes
-moment-angle ranks from the reduced cohomology of full subposets,
-euler_oracle gives the alternating rank sum of every internal degree from
-the f-vector alone, for every chi, and uct_report cross-checks the mod-p
-tables against the rational and integral ones.
+invariants; the layout of a total degree lists its generators once, in
+coordinate order, for every reader of coordinates.  reduce finds the
+blocks that hold an element's keys through an index per entry, and the
+zero class of each total degree is built once.  Product tables reduce
+pairwise products of representatives, except in a total degree that
+holds no generator over the table's ring: such a product can only be
+zero, and it is stored as the zero class without being built.  A
+Hochster-style oracle recomputes moment-angle ranks from the reduced
+cohomology of full subposets, euler_oracle gives the alternating rank
+sum of every internal degree from the f-vector alone, for every chi, and
+uct_report cross-checks the mod-p tables against the rational and
+integral ones.
 """
 
 from fractions import Fraction
@@ -59,7 +63,7 @@ from math import comb, gcd
 
 from .exactalg import CoefficientRing, ExactMatrix
 from .facering import FaceRing
-from .koszul import (TwistData, bidegree, bidegree_basis, compute_q,
+from .koszul import (_add_term, bidegree, bidegree_basis, compute_q,
                      differential, element_total_degree, integer_column,
                      monomial_degree, star_product, wedge_product)
 
@@ -355,15 +359,20 @@ class CohomologyClass:
 
 
 class _TotalLayout:
-    __slots__ = ("total", "parts", "moduli")
+    """The coordinates of one total degree: parts are (bidegree, offset,
+    entry), smallest homological shift first, and generators holds the
+    _Generator of each coordinate, in coordinate order."""
+
+    __slots__ = ("total", "parts", "generators", "moduli")
 
     def __init__(self, total, parts):
         self.total = total
-        self.parts = parts  # (bidegree, offset, entry)
-        moduli = []
-        for _, _, entry in parts:
-            moduli.extend(m for _, m in entry.generators)
-        self.moduli = tuple(moduli)
+        self.parts = parts
+        self.generators = tuple(
+            _Generator((bd, i), bd, i, total, element, modulus)
+            for bd, _, entry in parts
+            for i, (element, modulus) in enumerate(entry.generators))
+        self.moduli = tuple(g.modulus for g in self.generators)
 
     @property
     def size(self):
@@ -394,7 +403,7 @@ class TorTable:
     element rank: the entries of higher total degree hold no block."""
 
     __slots__ = ("data", "ring", "bound", "squarefree", "top", "face",
-                 "entries", "_layouts", "_monomials", "_on_demand",
+                 "entries", "_layouts", "_monomials", "_blocks",
                  "_columns", "_contractions", "_zeros")
 
     def __init__(self, data, ring, bound, face):
@@ -407,7 +416,7 @@ class TorTable:
         self.entries = {}
         self._layouts = {}
         self._monomials = {}
-        self._on_demand = {}
+        self._blocks = {}
         self._columns = {}
         self._contractions = {}
         self._zeros = {}
@@ -477,28 +486,18 @@ class TorTable:
         return CohomologyClass._from_canonical(self, total, coords)
 
     def generator_class(self, bidegree, index):
-        entry = self.entries[bidegree]
+        if not 0 <= index < self.entries[bidegree].size:
+            raise ValueError("generator index out of range")
         total = bidegree[0] + bidegree[1]
-        layout = self.layout(total)
-        coords = [0] * layout.size
-        for bd, offset, e in layout.parts:
-            if bd == bidegree:
-                if not 0 <= index < e.size:
-                    raise ValueError("generator index out of range")
-                coords[offset + index] = 1
-                return CohomologyClass(self, total, tuple(coords))
-        raise AssertionError("entry missing from its own layout")
+        gid = (bidegree, index)
+        return CohomologyClass(self, total, tuple(
+            int(g.gid == gid) for g in self.layout(total).generators))
 
     def generator_list(self):
-        """All representatives, ordered by total degree and bidegree."""
-        gens = []
-        for total in sorted({bd[0] + bd[1] for bd in self.entries}):
-            for bd in self.bidegrees_of_total(total):
-                entry = self.entries[bd]
-                for i, (element, modulus) in enumerate(entry.generators):
-                    gens.append(_Generator((bd, i), bd, i, total,
-                                           element, modulus))
-        return gens
+        """All representatives, ordered by total degree and bidegree: the
+        generators of each layout in turn."""
+        return [g for total in sorted({bd[0] + bd[1] for bd in self.entries})
+                for g in self.layout(total).generators]
 
     def generator_pairs(self):
         """Ordered pairs (g1, g2) of generator_list() whose total degrees
@@ -552,7 +551,9 @@ class TorTable:
         return CohomologyClass(self, ztotal, tuple(coords))
 
     def coboundary_witness(self, z):
-        """w with d(w) = z, for a cocycle reducing to zero."""
+        """w with d(w) = z, for a cocycle reducing to zero: the block of
+        each multidegree that holds keys of z (multidegree_block) solves
+        its part against its incoming image."""
         cls = self.reduce(z)
         if not cls.is_zero:
             raise ValueError("class is not zero; no witness exists")
@@ -561,43 +562,29 @@ class TorTable:
         mod = self.ring.modulus
         witness = {}
         for bd, comp in self._components(z).items():
-            entry = self.entries[bd]
-            touched = entry.local_parts(comp)
-            parts = [(entry.blocks[b], touched[b]) for b in sorted(touched)]
-            # the keys outside every built block, by the block of each
-            index = entry.key_index()[0]
-            rest = [key for key in comp if key not in index]
-            if not self.squarefree:
-                mus = {()} if rest else ()
-            else:
+            if self.squarefree:
                 mus = {_multidegree(self.data, self.face, ambient_pos, key)
-                       for key in rest}
+                       for key in comp}
+            else:
+                mus = {()}
             for mu in sorted(mus):
                 block = self.multidegree_block(bd, mu)
-                parts.append((block, block.local(comp)))
-            for block, w_local in parts:
-                y = block.kernel_coords(self.ring, w_local)
+                y = block.kernel_coords(self.ring, block.local(comp))
                 if not y:
                     continue
                 u = block.image(self.ring, self.column).solve(y)
                 if u is None:
                     raise AssertionError("zero class without a witness")
                 for j, c in u.items():
-                    key = block.incoming[j]
-                    w = witness.get(key, 0) + c
-                    if mod:
-                        w %= mod
-                    if w:
-                        witness[key] = w
-                    else:
-                        del witness[key]
+                    _add_term(witness, block.incoming[j], c, mod)
         return witness
 
     def multidegree_block(self, bidegree, mu):
-        """The block of multidegree mu in a bidegree, built on demand with
-        its cokernel, for the blocks compute_tor leaves out.  On a
-        squarefree table mu is a tuple over the ambient vertices; any
-        other table has one block per bidegree, with mu = ()."""
+        """The block of multidegree mu in a bidegree: the one compute_tor
+        built, or else, for a block it leaves out, one built on demand
+        with its cokernel and kept in the same store.  On a squarefree
+        table mu is a tuple over the ambient vertices; any other table has
+        one block per bidegree, with mu = ()."""
         k, t = -bidegree[0], bidegree[1]
         if not self.squarefree:
             if mu != ():
@@ -606,7 +593,7 @@ class TorTable:
         elif len(mu) != len(self.data.vertices) or 2 * sum(mu) != t:
             raise ValueError("multidegree %r does not lie in bidegree %r"
                              % (mu, bidegree))
-        block = self._on_demand.get((bidegree, mu))
+        block = self._blocks.get((bidegree, mu))
         if block is None:
             if self.squarefree:
                 poset_pos = _poset_positions(self.data)
@@ -619,7 +606,7 @@ class TorTable:
                            {key: i for i, key in enumerate(keys[0])},
                            keys[2], self.column)
             block.finish(self.ring, self.column)
-            self._on_demand[(bidegree, mu)] = block
+            self._blocks[(bidegree, mu)] = block
         return block
 
     def _components(self, z):
@@ -789,6 +776,7 @@ def compute_tor(data, ring, bound=None):
                     rank_in, units = nxt.rank, nxt.units
                 block.finish(ring, table.column,
                              units and block.rank + rank_in == len(block.keys))
+                table._blocks[((-k, t), mu)] = block
             table.entries[(-k, t)] = TorEntry((-k, t), tuple(row.values()))
     return table
 
@@ -806,26 +794,24 @@ def generator_name(gid):
 
 def format_class(cls):
     """Deterministic linear combination of generator names."""
-    layout = cls.table.layout(cls.total)
+    gens = cls.table.layout(cls.total).generators
     parts = []
-    for bd, offset, entry in layout.parts:
-        for i in range(entry.size):
-            c = cls.coords[offset + i]
-            if not c:
-                continue
-            name = generator_name((bd, i))
-            if c == 1:
-                term = name
-            elif c == -1:
-                term = "-" + name
-            else:
-                term = "%s %s" % (c, name)
-            if parts and not term.startswith("-"):
-                parts.append("+ " + term)
-            elif parts:
-                parts.append("- " + term[1:])
-            else:
-                parts.append(term)
+    for g, c in zip(gens, cls.coords):
+        if not c:
+            continue
+        name = generator_name(g.gid)
+        if c == 1:
+            term = name
+        elif c == -1:
+            term = "-" + name
+        else:
+            term = "%s %s" % (c, name)
+        if parts and not term.startswith("-"):
+            parts.append("+ " + term)
+        elif parts:
+            parts.append("- " + term[1:])
+        else:
+            parts.append(term)
     return " ".join(parts) if parts else "0"
 
 
@@ -852,8 +838,8 @@ class ProductTable:
         acc = table.zero_class(total)
         if not acc.coords:
             return acc
-        gx = [g for g in self.generators if g.total == x.total]
-        gy = [g for g in self.generators if g.total == y.total]
+        gx = table.layout(x.total).generators
+        gy = table.layout(y.total).generators
         for ga, ca in zip(gx, x.coords):
             if not ca:
                 continue

@@ -317,21 +317,31 @@ class _ChainMaps:
     def hat_xi(self, z):
         """xi plus the contraction corrections against q^."""
         out = self.xi(z)
-        mod = self.ring.modulus
         for (i, j), qel in self.hatq.items():
-            w = {}
-            for (S, mono), c in z.items():
-                dc = double_contract(S, i, j)
-                if dc is not None:
-                    sign, S2 = dc
-                    _add_term(w, (S2, mono), sign * c, mod)
-            if not w:
-                continue
-            for (T, m1), c1 in self.xi(w).items():
-                for m2, c2 in self.face.multiply({m1: c1}, qel,
-                                                 self.ring).items():
-                    _add_term(out, (T, m2), c2, mod)
+            w = _double_contraction(z, i, j, self.ring.modulus)
+            if w:
+                _add_product(out, self.xi(w), qel, self.face, self.ring)
         return out
+
+
+def _double_contraction(z, i, j, mod):
+    """iota_i iota_j z, term by term."""
+    w = {}
+    for (S, mono), c in z.items():
+        dc = double_contract(S, i, j)
+        if dc is not None:
+            sign, S2 = dc
+            _add_term(w, (S2, mono), sign * c, mod)
+    return w
+
+
+def _add_product(out, w, element, face, ring):
+    """Add w . element to out: the face part of every term of w times a
+    face-ring element."""
+    mod = ring.modulus
+    for (T, m1), c1 in w.items():
+        for m2, c2 in face.multiply({m1: c1}, element, ring).items():
+            _add_term(out, (T, m2), c2, mod)
 
 
 def _chain_maps(phi, ring):
@@ -373,21 +383,16 @@ class InducedMap:
         if cls.table is not self.domain:
             raise ValueError("class does not live in the domain table")
         out = self.codomain.zero_class(cls.total)
-        for bd, offset, entry in self.domain.layout(cls.total).parts:
-            for idx in range(entry.size):
-                c = cls.coords[offset + idx]
-                if c:
-                    out = out + self.images[(bd, idx)].scale(c)
+        for g, c in zip(self.domain.layout(cls.total).generators, cls.coords):
+            if c:
+                out = out + self.images[g.gid].scale(c)
         return out
 
     def matrix(self, total):
         """Codomain coordinates of the image of each domain generator at
         one total degree, one row per generator in layout order."""
-        rows = []
-        for bd, offset, entry in self.domain.layout(total).parts:
-            for idx in range(entry.size):
-                rows.append(self.images[(bd, idx)].coords)
-        return tuple(rows)
+        return tuple(self.images[g.gid].coords
+                     for g in self.domain.layout(total).generators)
 
     def __repr__(self):
         return "<InducedMap %r: %d generators>" % (self.label,
@@ -414,7 +419,15 @@ def product_failures(induced, domain_products, codomain_products):
     return failures, pairs
 
 
-def _induced(phi, target_table, source_table, chain, label):
+def _induced(domain, codomain, chain, label):
+    """The map of a chain map on classes: the class of the image of every
+    domain generator's representative, in generator order."""
+    images = {g.gid: codomain.reduce(chain(g.element), total=g.total)
+              for g in domain.generator_list()}
+    return InducedMap(domain, codomain, images, label=label)
+
+
+def _morphism_map(phi, target_table, source_table, chain, label):
     if target_table.ring != source_table.ring:
         raise ValueError("tables use different rings")
     if not _same_data(target_table.data, phi.target):
@@ -425,10 +438,7 @@ def _induced(phi, target_table, source_table, chain, label):
         raise ValueError(
             "source table bound %d cannot hold every image; recompute "
             "with bound >= %d" % (source_table.bound, target_table.bound))
-    images = {}
-    for g in target_table.generator_list():
-        images[g.gid] = source_table.reduce(chain(g.element), total=g.total)
-    return InducedMap(target_table, source_table, images, label=label)
+    return _induced(target_table, source_table, chain, label)
 
 
 def tor_phi(phi, target_table, source_table):
@@ -436,22 +446,24 @@ def tor_phi(phi, target_table, source_table):
     target data to the table of the source data.  Preserves bidegree but
     in general not products."""
     ev = _chain_maps(phi, target_table.ring)
-    return _induced(phi, target_table, source_table, ev.exterior,
-                    "tor(%s)" % (phi.name,))
+    return _morphism_map(phi, target_table, source_table, ev.exterior,
+                         "tor(%s)" % (phi.name,))
 
 
 def hat_tor_phi(phi, target_table, source_table):
     """Map induced by the corrected chain map; preserves total degree and
     the twisted products."""
     ev = _chain_maps(phi, target_table.ring)
-    return _induced(phi, target_table, source_table, ev.hat_xi,
-                    "hat_tor(%s)" % (phi.name,))
+    return _morphism_map(phi, target_table, source_table, ev.hat_xi,
+                         "hat_tor(%s)" % (phi.name,))
 
 
 def omega(data, table):
     """The automorphism z -> z + (1/2) sum_{i>j} iota_i iota_j z . q_ij of
     the table onto itself; needs 2 invertible.  It carries the twisted
-    products to the untwisted ones."""
+    products to the untwisted ones.  Its chain map adds the corrections
+    of hat_xi, with (1/2) q_ij, scaled once, in place of q^ and z itself
+    in place of xi(z)."""
     ring = table.ring
     if not _same_data(table.data, data):
         raise ValueError("table was not computed from this data")
@@ -459,30 +471,17 @@ def omega(data, table):
     if not ring.is_unit(two):
         raise ValueError("omega needs 2 invertible in the coefficient ring")
     half = ring.inverse(two)
-    face = table.face
-    mod = ring.modulus
-    q = compute_q(data)
-    qel = {pair: convert_element(val, ring)
-           for pair, val in q.q.items() if pair[0] > pair[1]}
+    qel = {pair: convert_element({m: half * c for m, c in val.items()}, ring)
+           for pair, val in compute_q(data).q.items() if pair[0] > pair[1]}
 
     def chain(z):
         out = dict(z)
         for (i, j), element in qel.items():
-            for (S, mono), c in z.items():
-                dc = double_contract(S, i, j)
-                if dc is None:
-                    continue
-                sign, S2 = dc
-                coef = ring.convert(half * c * sign)
-                for m2, c2 in face.multiply({mono: coef}, element,
-                                            ring).items():
-                    _add_term(out, (S2, m2), c2, mod)
+            _add_product(out, _double_contraction(z, i, j, ring.modulus),
+                         element, table.face, ring)
         return out
 
-    images = {}
-    for g in table.generator_list():
-        images[g.gid] = table.reduce(chain(g.element), total=g.total)
-    return InducedMap(table, table, images, label="omega")
+    return _induced(table, table, chain, "omega")
 
 
 def cox_projection(data, name=""):

@@ -592,6 +592,53 @@ def test_coboundary_witness_visits_only_the_blocks_of_its_keys(monkeypatch):
     assert len(set(visited)) == 1
 
 
+def test_multidegree_block_is_the_block_compute_tor_built(monkeypatch):
+    # compute_tor records every block it builds, so multidegree_block, and
+    # coboundary_witness through it, return that block instead of a copy;
+    # the blocks it cuts are still built on demand, once
+    square = moment_angle(cycle_facets(4))
+    double_edge = CharacteristicData.moment_angle(
+        double_edge_poset(), vertices=["a", "b", "z"])
+    for data in (square, double_edge, rebased(square)):
+        table = compute_tor(data, QQ)
+        count = 0
+        for bd, entry in table.entries.items():
+            for block in entry.blocks:
+                mu = (key_multidegree(data, table.face, block.keys[0])
+                      if table.squarefree else ())
+                assert table.multidegree_block(bd, mu) is block
+                count += 1
+        assert count
+    built = []
+    init = _Block.__init__
+
+    def recording(self, *args):
+        built.append(self)
+        init(self, *args)
+    monkeypatch.setattr(_Block, "__init__", recording)
+    # d(a_1 a_3) lies in a built block of the square, d(a_1 a_2) in the
+    # cone W = {1, 2}; on the rebased table (-1, 8) lies above N = 6
+    cuts = []
+    for data, w, bd in ((square, {((1, 3), ()): 1}, (-1, 4)),
+                        (square, {((1, 2), ()): 1}, (-1, 4)),
+                        (rebased(square), {((1, 2), (("{1,2}", 1),)): 1},
+                         (-1, 8))):
+        table = compute_tor(data, QQ)
+        z = differential(w, data, QQ, table.face)
+        assert z and {bidegree(data.poset, key) for key in z} == {bd}
+        cut = not any(key in block.index for key in z
+                      for block in table.entries[bd].blocks)
+        cuts.append(cut)
+        del built[:]
+        witness = table.coboundary_witness(z)
+        assert differential(witness, data, QQ, table.face) == z
+        mu = key_multidegree(data, table.face, next(iter(z)))
+        block = table.multidegree_block(bd, mu if table.squarefree else ())
+        assert set(z) <= set(block.keys)
+        assert built == ([block] if cut else [])
+    assert cuts == [False, True, True]
+
+
 def test_reduce_rejects_keys_outside_the_basis():
     data = moment_angle(cycle_facets(4))
     table = compute_tor(data, QQ)

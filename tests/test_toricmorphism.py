@@ -314,6 +314,28 @@ def test_power_induced_maps():
             assert tor.apply(a1) == a1.scale(r)
 
 
+def test_images_are_the_generator_classes_mapped():
+    # the images are what apply gives on each generator class, listed in
+    # generator order: the command line and the examples read them so
+    data = cstar2_data()
+    kappa = cox_projection(data)
+    for ring in (QQ, ZZ, F3):
+        table = compute_tor(data, ring)
+        mac = compute_tor(kappa.source, ring, bound=table.bound)
+        maps = [make(phi, table, source)
+                for phi, source in ((power_morphism(data, 2), table),
+                                    (kappa, mac))
+                for make in (tor_phi, hat_tor_phi)]
+        if ring is not ZZ:
+            maps.append(omega(data, table))
+        gens = table.generator_list()
+        for induced in maps:
+            assert list(induced.images) == [g.gid for g in gens]
+            for g in gens:
+                assert induced.apply(table.generator_class(*g.gid)) == \
+                    induced.images[g.gid]
+
+
 def test_induced_map_errors():
     data = cstar2_data()
     table = compute_tor(data, ZZ)
