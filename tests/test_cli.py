@@ -730,3 +730,144 @@ def test_table_output_deterministic(capsys, docs):
     first = run_cli(capsys, "mult", docs["cstar2"], "--compare")
     second = run_cli(capsys, "mult", docs["cstar2"], "--compare")
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# Outputs frozen byte for byte: validate on stdout and stderr, the
+# structured tor, map and mult --compare documents, and the invalid-input
+# reports of tor and map.
+
+def frozen_json(doc):
+    """The bytes of a structured document, spelled by the standard
+    library: sorted keys, two-space indent, one final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+BAD_PROBLEM = ("characteristic vectors on face '{v}' do not extend to a "
+               "lattice basis")
+FLIP_PROBLEMS = (
+    "A maps vertex 'v' to [1, 1, -1], which is not an integer combination "
+    "of the vectors on '{v}'",
+    "A maps vertex 'w' to [-1, -1, 1], which is not an integer combination "
+    "of the vectors on '{w}'")
+CSTAR2_DATA = {
+    "facets": [["v"], ["w"]], "lattice_rank": 3, "name": "cstar2-p1",
+    "vertices": [{"chi": [1, 1, 1], "id": "v"},
+                 {"chi": [-1, -1, -1], "id": "w"},
+                 {"chi": [1, 0, 0], "ghost": True, "id": "g1"},
+                 {"chi": [0, 1, 0], "ghost": True, "id": "g2"}]}
+# two points whose rays span a sublattice of index 2: Z/2 in total degree 2
+LENS_DATA = {
+    "facets": [["v"], ["w"]], "lattice_rank": 2, "name": "lens",
+    "vertices": [{"chi": [1, 0], "id": "v"}, {"chi": [1, 2], "id": "w"}]}
+
+
+def flip_document(tmp_path):
+    """cstar2 to itself by a lattice map that sends each ray to a vector
+    outside its cone: the carrier check fails on both vertices."""
+    data = data_cstar2()
+    phi = ToricMorphism(data, data, [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+                        {e: e for e in data.poset.elements}, name="flip")
+    return write(tmp_path, "flip.json", morphism_document(phi))
+
+
+def test_validate_frozen(capsys, tmp_path, docs):
+    flip = flip_document(tmp_path)
+    bad_in = "problem in %s: %s\n" % (docs["bad"], BAD_PROBLEM)
+    cases = [
+        ([docs["cstar2"]], 0,
+         "ok: characteristic data 'cstar2-p1' (4 vertices, 2 ghost, "
+         "lattice rank 3, 3 poset elements)\n"),
+        ([docs["bad"]], 1, "problem: %s\n" % BAD_PROBLEM),
+        ([docs["rebased"], docs["cstar2"], docs["bc"]], 0,
+         "ok: morphism 'basis-change' from 'cstar2-p1 rebased' to "
+         "'cstar2-p1'\n"),
+        ([docs["bad"], docs["cstar2"], docs["bc"]], 1, bad_in),
+        ([docs["cstar2"], docs["bad"], docs["bc"]], 1, bad_in),
+        ([docs["cstar2"], docs["cstar2"], flip], 1,
+         "".join("problem: %s\n" % p for p in FLIP_PROBLEMS)),
+    ]
+    for files, rc, out in cases:
+        assert run_cli(capsys, "validate", *files) == (rc, out, ""), files
+
+
+def test_invalid_input_reports_frozen(capsys, tmp_path, docs):
+    flip = flip_document(tmp_path)
+    bad = "invalid %s: %s\n" % (docs["bad"], BAD_PROBLEM)
+    for command in ("tor", "mult", "omega"):
+        assert run_cli(capsys, command, docs["bad"]) == (1, "", bad)
+    assert run_cli(capsys, "map", docs["bad"], docs["cstar2"],
+                   docs["bc"]) == (1, "", bad)
+    assert run_cli(capsys, "map", docs["cstar2"], docs["cstar2"], flip) == (
+        1, "", "".join("invalid %s: %s\n" % (flip, p) for p in FLIP_PROBLEMS))
+
+
+def test_tor_structured_frozen(capsys, docs):
+    def entry(j, t, rank, torsion=()):
+        return {"bidegree": [j, t], "rank": rank, "torsion": list(torsion)}
+
+    def total(d, rank, torsion=()):
+        return {"rank": rank, "torsion": list(torsion), "total": d}
+
+    assert run_cli(capsys, "tor", docs["cstar2"], "--format",
+                   "structured") == (0, frozen_json({
+                       "coefficients": "q", "data": CSTAR2_DATA,
+                       "document": "tor-table",
+                       "entries": [entry(0, 0, 1), entry(0, 2, 1),
+                                   entry(-1, 2, 2), entry(-1, 4, 2),
+                                   entry(-2, 4, 1), entry(-2, 6, 1)],
+                       "max_total_degree": 7, "name": "cstar2-p1",
+                       "totals": [total(0, 1), total(1, 2), total(2, 2),
+                                  total(3, 2), total(4, 1)]}), "")
+
+
+def test_tor_structured_torsion_frozen(capsys, tmp_path):
+    path = write(tmp_path, "lens.json", LENS_DATA)
+    assert run_cli(capsys, "tor", path, "--coeffs", "z", "--format",
+                   "structured") == (0, frozen_json({
+                       "coefficients": "z", "data": LENS_DATA,
+                       "document": "tor-table",
+                       "entries": [
+                           {"bidegree": [0, 0], "rank": 1, "torsion": []},
+                           {"bidegree": [0, 2], "rank": 0, "torsion": [2]},
+                           {"bidegree": [-1, 4], "rank": 1, "torsion": []}],
+                       "max_total_degree": 4, "name": "lens",
+                       "totals": [
+                           {"rank": 1, "torsion": [], "total": 0},
+                           {"rank": 0, "torsion": ["Z/2"], "total": 2},
+                           {"rank": 1, "torsion": [], "total": 3}]}), "")
+
+
+def test_map_power_structured_frozen(capsys, tmp_path, docs):
+    path = power2_document(tmp_path)
+
+    def images(lines):
+        return [dict(zip(("generator", "image"), line.strip().split(" -> ")))
+                for line in lines]
+
+    frozen = MAP_POWER_2.splitlines()
+    assert run_cli(capsys, "map", docs["cstar2"], docs["cstar2"], path,
+                   "--format", "structured", "--show-hatq") == (
+        0, frozen_json({"coefficients": "q", "document": "induced-map",
+                        "hatq": frozen[2:5], "max_total_degree": 7,
+                        "name": "power-map:2", "source": "cstar2-p1",
+                        "target": "cstar2-p1",
+                        "twisted": images(frozen[15:23]),
+                        "untwisted": images(frozen[6:14])}), "")
+
+
+def test_mult_compare_agreeing_structured_frozen(capsys, tmp_path):
+    fan = {"name": "cp2", "fan": {"rays": [[1, 0], [0, 1], [-1, -1]],
+                                  "cones": [[0, 1], [1, 2], [0, 2]]}}
+    path = write(tmp_path, "cp2.json", fan)
+    assert run_cli(capsys, "mult", path, "--compare", "--format",
+                   "structured") == (0, frozen_json({
+                       "coefficients": "q",
+                       "data": {"facets": [["r0", "r1"], ["r0", "r2"],
+                                           ["r1", "r2"]],
+                                "lattice_rank": 2, "name": "cp2",
+                                "vertices": [{"chi": [1, 0], "id": "r0"},
+                                             {"chi": [0, 1], "id": "r1"},
+                                             {"chi": [-1, -1], "id": "r2"}]},
+                       "differences": [], "document": "product-comparison",
+                       "max_total_degree": 5, "name": "cp2"}), "")

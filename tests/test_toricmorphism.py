@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -8,14 +10,15 @@ from facetor.koszul import (TwistData, compute_q, differential,
                             total_degree_basis)
 from facetor.simplicial import CharacteristicData, SimplicialPoset
 from facetor.torcohomology import compute_tor, product_table
-from facetor.toricmorphism import (Lift, ToricMorphism, cox_projection,
-                                   cross_element, diagonal_morphism, hat_q,
-                                   hat_tor_phi, hat_xi, ideal_I_sigma, lift,
-                                   omega, power_morphism, product_failures,
-                                   tor_phi, validate_morphism, xi)
+from facetor.toricmorphism import (InducedMap, Lift, ToricMorphism,
+                                   cox_projection, cross_element,
+                                   diagonal_morphism, hat_q, hat_tor_phi,
+                                   hat_xi, ideal_I_sigma, lift, omega,
+                                   power_morphism, product_failures, tor_phi,
+                                   validate_morphism, xi)
 
 from helpers import (basis_change_source, cstar2_data, cycle_facets,
-                     double_edge_poset, small_characteristic_data,
+                     double_edge_poset, rp2_facets, small_characteristic_data,
                      two_points_classes)
 
 QQ = CoefficientRing.rationals()
@@ -353,6 +356,80 @@ def test_induced_map_errors():
         ind.apply(other.zero_class(0))
     rows = ind.matrix(2)
     assert len(rows) == table.layout(2).size
+
+
+def per_term_sum(zero, terms):
+    """The sum of c * x over (x, c) in terms, one class per term."""
+    acc = zero
+    for x, c in terms:
+        acc = acc + x.scale(c)
+    return acc
+
+
+def assert_same_class(got, want):
+    assert got == want
+    assert [type(c) for c in got.coords] == [type(c) for c in want.coords]
+
+
+def test_apply_and_multiply_classes_are_per_term_sums():
+    data = cstar2_data()
+    rng = random.Random(11)
+    for ring, coeffs in ((QQ, (0, 1, -2, Fraction(3, 2), Fraction(-1, 3))),
+                         (ZZ, (0, 1, -1, 3)), (F3, (0, 1, 2))):
+        table = compute_tor(data, ring)
+        products = product_table(table, compute_q(data))
+        maps = (hat_tor_phi(power_morphism(data, 2), table, table),
+                tor_phi(power_morphism(data, 3), table, table))
+        classes = {}
+        for total in range(table.bound + 1):
+            cls = table.zero_class(total)
+            for g in table.layout(total).generators:
+                cls = cls + table.generator_class(*g.gid).scale(
+                    rng.choice(coeffs))
+            classes[total] = cls
+        for x in classes.values():
+            gens = table.layout(x.total).generators
+            for induced in maps:
+                got = induced.apply(x)
+                assert_same_class(got, per_term_sum(
+                    table.zero_class(x.total),
+                    [(induced.images[g.gid], c)
+                     for g, c in zip(gens, x.coords) if c]))
+            for y in classes.values():
+                if x.total + y.total > table.bound:
+                    continue
+                got = products.multiply_classes(x, y)
+                assert_same_class(got, per_term_sum(
+                    table.zero_class(x.total + y.total),
+                    [(products.product(ga.gid, gb.gid), ca * cb)
+                     for ga, ca in zip(gens, x.coords) if ca
+                     for gb, cb in zip(table.layout(y.total).generators,
+                                       y.coords) if cb]))
+                if ring is QQ:
+                    assert all(type(c) is Fraction for c in got.coords)
+
+
+def test_torsion_sums_reduce_mod_their_order():
+    # the Z/2 class of the moment-angle RP^2 at (-3, 12), total degree 9,
+    # reached with coefficient 3 by a product and by an induced map from
+    # the moment-angle S^9 (the boundary of the 4-simplex)
+    rp2 = compute_tor(CharacteristicData.moment_angle(
+        SimplicialPoset.from_facets(rp2_facets())), ZZ)
+    tors = rp2.generator_class((-3, 12), 0)
+    assert rp2.layout(9).moduli == (2,)
+    products = product_table(rp2, None)
+    three = rp2.generator_class((0, 0), 0).scale(3)
+    got = products.multiply_classes(three, tors)
+    assert got.coords == (1,)
+    assert_same_class(got, per_term_sum(rp2.zero_class(9), [(tors, 3)]))
+    s9 = compute_tor(CharacteristicData.moment_angle(
+        SimplicialPoset.from_facets(combinations("abcde", 4))), ZZ)
+    top = s9.generator_class((-1, 10), 0)
+    induced = InducedMap(s9, rp2, {((0, 0), 0): rp2.generator_class(
+        (0, 0), 0), ((-1, 10), 0): tors})
+    got = induced.apply(top.scale(3))
+    assert got.coords == (1,)
+    assert_same_class(got, per_term_sum(rp2.zero_class(9), [(tors, 3)]))
 
 
 # ---------------------------------------------------------------------------
