@@ -4,6 +4,13 @@ Subcommands: validate, tor, mult, map, omega, example.  Data documents
 are JSON (see the documents module); results go to stdout, diagnostics
 to stderr.  Exit codes: 0 success, 1 domain validation failure or a
 failed example, 2 parse or usage error.  Output is deterministic.
+
+Each command builds its result rows once and hands them to one writer,
+_write: the structured document, with the fields all documents share,
+or the table lines.  One reporter, _check, prints validation problems
+(on stdout for validate, on stderr elsewhere).  mult --compare builds no
+product with a factor of exterior degree 0, where the twisted and
+untwisted products agree (compare_products).
 """
 
 import argparse
@@ -66,33 +73,52 @@ def _load_data(path):
     return parse_data_document(load_document(_read(path)), path=path)
 
 
-def _checked_data(path):
-    """Parse and validate one data document; validation problems exit 1."""
-    data = _load_data(path)
-    problems = data.validate()
-    if problems:
-        for p in problems:
-            print("invalid %s: %s" % (path, p), file=sys.stderr)
-        raise _DomainFailure()
-    return data
-
-
 class _DomainFailure(Exception):
     """Validation failed; the report has already been printed."""
 
 
-def _load_morphism(paths):
-    spath, tpath, mpath = paths
-    source = _checked_data(spath)
-    target = _checked_data(tpath)
-    phi = parse_morphism_document(load_document(_read(mpath)), source, target,
-                                  path=mpath)
-    problems = phi.validate()
+def _check(problems, prefix, result=False):
+    """Print each validation problem after prefix and raise _DomainFailure
+    if there is one.  The report goes to stdout when it is the command's
+    result (validate), and to stderr as a diagnostic otherwise."""
+    for p in problems:
+        print(prefix + p, file=sys.stdout if result else sys.stderr)
     if problems:
-        for p in problems:
-            print("invalid %s: %s" % (mpath, p), file=sys.stderr)
         raise _DomainFailure()
-    return phi
+
+
+def _checked_data(path):
+    """Parse and validate one data document; validation problems exit 1."""
+    data = _load_data(path)
+    _check(data.validate(), "invalid %s: " % path)
+    return data
+
+
+def _load_morphism(mpath, source, target):
+    return parse_morphism_document(load_document(_read(mpath)), source,
+                                   target, path=mpath)
+
+
+def _data_table(args):
+    """The checked data document of args and its Tor table."""
+    data = _checked_data(args.data)
+    return data, compute_tor(data, args.coeffs, bound=args.max_total_degree)
+
+
+def _write(args, document, name, bound, fields, lines, data=None):
+    """Write one result: in structured format the document, with the
+    fields every document shares (and the data document, when given),
+    otherwise the table lines."""
+    if args.format == "structured":
+        doc = dict(fields, document=document, name=name,
+                   coefficients=_coeffs_token(args.coeffs),
+                   max_total_degree=bound)
+        if data is not None:
+            doc["data"] = data_document(data)
+        sys.stdout.write(dump_document(doc))
+    else:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+    return 0
 
 
 def _title(data, ring, bound):
@@ -100,11 +126,9 @@ def _title(data, ring, bound):
                                                 ring, bound)
 
 
-def _grid_lines(table):
+def _grid_lines(ranks, torsion):
     """The rank grid: internal degree rows descending, homological
     degree columns from 0 leftward."""
-    ranks = table.rank_table()
-    torsion = table.torsion_table()
     bds = set(ranks) | set(torsion)
     if not bds:
         return ["(no nonzero entries)"]
@@ -140,109 +164,70 @@ def _poincare(totals):
     return " + ".join(terms) if terms else "0"
 
 
-def _torsion_by_total(table):
+def _torsion_by_total(torsion):
     out = {}
-    for (j, t), ds in sorted(table.torsion_table().items(),
+    for (j, t), ds in sorted(torsion.items(),
                              key=lambda item: (item[0][1], -item[0][0])):
         out.setdefault(j + t, []).extend("Z/%d" % d for d in ds)
     return out
 
 
 def cmd_tor(args):
-    data = _checked_data(args.data)
-    table = compute_tor(data, args.coeffs, bound=args.max_total_degree)
-    if args.format == "structured":
-        ranks, torsion = table.rank_table(), table.torsion_table()
-        totals, total_torsion = table.total_ranks(), _torsion_by_total(table)
-        entries = sorted(set(ranks) | set(torsion),
-                         key=lambda bd: (bd[1], -bd[0]))
-        doc = {
-            "document": "tor-table",
-            "name": data.name,
-            "coefficients": _coeffs_token(args.coeffs),
-            "max_total_degree": table.bound,
-            "data": data_document(data),
-            "entries": [{"bidegree": list(bd),
-                         "rank": ranks.get(bd, 0),
-                         "torsion": list(torsion.get(bd, ()))}
-                        for bd in entries],
-            "totals": [{"total": d,
-                        "rank": totals.get(d, 0),
-                        "torsion": total_torsion.get(d, [])}
-                       for d in sorted(set(totals) | set(total_torsion))],
-        }
-        sys.stdout.write(dump_document(doc))
-        return 0
-    print("Tor table for " + _title(data, args.coeffs, table.bound))
-    print()
-    for line in _grid_lines(table):
-        print(line)
-    print()
-    print("betti: " + _poincare(table.total_ranks()))
-    torsion = _torsion_by_total(table)
-    if torsion:
-        print("torsion: " + "; ".join(
-            "degree %d: %s" % (d, ", ".join(zs))
-            for d, zs in sorted(torsion.items())))
-    else:
-        print("torsion: none")
-    return 0
+    data, table = _data_table(args)
+    ranks, torsion = table.rank_table(), table.torsion_table()
+    totals, total_torsion = table.total_ranks(), _torsion_by_total(torsion)
+    entries = sorted(set(ranks) | set(torsion),
+                     key=lambda bd: (bd[1], -bd[0]))
+    return _write(args, "tor-table", data.name, table.bound, {
+        "entries": [{"bidegree": list(bd), "rank": ranks.get(bd, 0),
+                     "torsion": list(torsion.get(bd, ()))}
+                    for bd in entries],
+        "totals": [{"total": d, "rank": totals.get(d, 0),
+                    "torsion": total_torsion.get(d, [])}
+                   for d in sorted(set(totals) | set(total_torsion))],
+    }, ["Tor table for " + _title(data, args.coeffs, table.bound), "",
+        *_grid_lines(ranks, torsion), "",
+        "betti: " + _poincare(totals),
+        "torsion: " + ("; ".join("degree %d: %s" % (d, ", ".join(zs))
+                                 for d, zs in sorted(total_torsion.items()))
+                       or "none")], data)
 
 
 def cmd_mult(args):
-    data = _checked_data(args.data)
-    table = compute_tor(data, args.coeffs, bound=args.max_total_degree)
+    data, table = _data_table(args)
     twist = compute_q(data)
+    title = _title(data, args.coeffs, table.bound)
     if args.variant == "compare":
         # each unordered pair once, in the order the product loops meet it
         pos = {g.gid: i for i, g in enumerate(table.generator_list())}
-        rows = [d for d in compare_products(table, twist).differences
-                if pos[d[0]] <= pos[d[1]]]
-        if args.format == "structured":
-            doc = {"document": "product-comparison",
-                   "name": data.name,
-                   "coefficients": _coeffs_token(args.coeffs),
-                   "max_total_degree": table.bound,
-                   "data": data_document(data),
-                   "differences": [
-                       {"left": generator_name(ga), "right": generator_name(gb),
-                        "twisted": format_class(a), "untwisted": format_class(b)}
-                       for ga, gb, a, b in rows]}
-            sys.stdout.write(dump_document(doc))
-            return 0
-        print("product comparison for " + _title(data, args.coeffs, table.bound))
-        if not rows:
-            print("the twisted and untwisted products agree")
-            return 0
-        print("%d unordered pairs differ" % len(rows))
-        for ga, gb, a, b in rows:
-            print("%s * %s: twisted %s, untwisted %s" % (
-                generator_name(ga), generator_name(gb),
-                format_class(a), format_class(b)))
-        return 0
-
+        rows = [{"left": generator_name(ga), "right": generator_name(gb),
+                 "twisted": format_class(a), "untwisted": format_class(b)}
+                for ga, gb, a, b in compare_products(table, twist).differences
+                if pos[ga] <= pos[gb]]
+        lines = ["product comparison for " + title,
+                 "%d unordered pairs differ" % len(rows) if rows
+                 else "the twisted and untwisted products agree"]
+        lines.extend("%(left)s * %(right)s: twisted %(twisted)s, "
+                     "untwisted %(untwisted)s" % row for row in rows)
+        return _write(args, "product-comparison", data.name, table.bound,
+                      {"differences": rows}, lines, data)
     twisted = args.variant == "twisted"
     prods = product_table(table, twist if twisted else None)
-    if args.format == "structured":
-        doc = {"document": "products",
-               "name": data.name,
-               "coefficients": _coeffs_token(args.coeffs),
-               "max_total_degree": table.bound,
-               "twisted": twisted,
-               "data": data_document(data),
-               "products": [
-                   {"left": generator_name(g1.gid),
-                    "right": generator_name(g2.gid),
-                    "value": format_class(prods.product(g1.gid, g2.gid))}
-                   for g1, g2 in table.generator_pairs()]}
-        sys.stdout.write(dump_document(doc))
-        return 0
-    print("%s products for %s" % ("twisted" if twisted else "untwisted",
-                                  _title(data, args.coeffs, table.bound)))
-    for g1, g2 in table.generator_pairs():
-        print("%s * %s = %s" % (generator_name(g1.gid), generator_name(g2.gid),
-                                format_class(prods.product(g1.gid, g2.gid))))
-    return 0
+    rows = [{"left": generator_name(g1.gid), "right": generator_name(g2.gid),
+             "value": format_class(prods.product(g1.gid, g2.gid))}
+            for g1, g2 in table.generator_pairs()]
+    return _write(args, "products", data.name, table.bound,
+                  {"twisted": twisted, "products": rows},
+                  ["%s products for %s" % (
+                      "twisted" if twisted else "untwisted", title)]
+                  + ["%(left)s * %(right)s = %(value)s" % row
+                     for row in rows], data)
+
+
+def _images(induced):
+    """The image of every generator, in generator order."""
+    return [{"generator": generator_name(gid), "image": format_class(img)}
+            for gid, img in induced.images.items()]
 
 
 def _hatq_lines(phi):
@@ -257,76 +242,49 @@ def _hatq_lines(phi):
 
 
 def cmd_map(args):
-    phi = _load_morphism([args.source, args.target, args.morphism])
-    target_table = compute_tor(phi.target, args.coeffs,
+    source = _checked_data(args.source)
+    target = _checked_data(args.target)
+    phi = _load_morphism(args.morphism, source, target)
+    _check(phi.validate(), "invalid %s: " % args.morphism)
+    target_table = compute_tor(target, args.coeffs,
                                bound=args.max_total_degree)
-    if same_data(phi.source, phi.target):
+    if same_data(source, target):
         source_table = target_table
     else:
-        source_table = compute_tor(phi.source, args.coeffs,
+        source_table = compute_tor(source, args.coeffs,
                                    bound=target_table.bound)
-    variants = []
-    if args.variant in ("untwisted", "both"):
-        variants.append(("untwisted", tor_phi(phi, target_table, source_table)))
-    if args.variant in ("twisted", "both"):
-        variants.append(("twisted", hat_tor_phi(phi, target_table,
-                                                source_table)))
-    if args.format == "structured":
-        doc = {"document": "induced-map",
-               "name": phi.name,
-               "source": phi.source.name,
-               "target": phi.target.name,
-               "coefficients": _coeffs_token(args.coeffs),
-               "max_total_degree": target_table.bound}
-        if args.show_hatq:
-            doc["hatq"] = _hatq_lines(phi)
-        for label, induced in variants:
-            doc[label] = [{"generator": generator_name(gid),
-                           "image": format_class(img)}
-                          for gid, img in induced.images.items()]
-        sys.stdout.write(dump_document(doc))
-        return 0
-    print("morphism %s: %s -> %s (over %s, total degree <= %d)" % (
-        phi.name or "(unnamed)", phi.source.name or "(unnamed)",
-        phi.target.name or "(unnamed)", args.coeffs, target_table.bound))
-    print("induced maps act from the target table to the source table")
+    fields = {"source": source.name, "target": target.name}
+    lines = ["morphism %s: %s -> %s (over %s, total degree <= %d)" % (
+        phi.name or "(unnamed)", source.name or "(unnamed)",
+        target.name or "(unnamed)", args.coeffs, target_table.bound),
+        "induced maps act from the target table to the source table"]
     if args.show_hatq:
-        for line in _hatq_lines(phi):
-            print(line)
-    for label, induced in variants:
-        print("%s images:" % label)
-        for gid, img in induced.images.items():
-            print("  %s -> %s" % (generator_name(gid), format_class(img)))
-    return 0
+        fields["hatq"] = _hatq_lines(phi)
+        lines.extend(fields["hatq"])
+    for label, induce in (("untwisted", tor_phi), ("twisted", hat_tor_phi)):
+        if args.variant in (label, "both"):
+            fields[label] = _images(induce(phi, target_table, source_table))
+            lines.append("%s images:" % label)
+            lines.extend("  %(generator)s -> %(image)s" % row
+                         for row in fields[label])
+    return _write(args, "induced-map", phi.name, target_table.bound, fields,
+                  lines)
 
 
 def cmd_omega(args):
-    data = _checked_data(args.data)
-    table = compute_tor(data, args.coeffs, bound=args.max_total_degree)
+    data, table = _data_table(args)
     straighten = omega(data, table)
     failures, pairs = product_failures(
         straighten, product_table(table, compute_q(data)),
         product_table(table, None))
-
-    if args.format == "structured":
-        doc = {"document": "omega",
-               "name": data.name,
-               "coefficients": _coeffs_token(args.coeffs),
-               "max_total_degree": table.bound,
-               "images": [{"generator": generator_name(gid),
-                           "image": format_class(img)}
-                          for gid, img in straighten.images.items()],
-               "intertwines": not failures}
-        sys.stdout.write(dump_document(doc))
-        return 0 if not failures else 1
-    print("omega for " + _title(data, args.coeffs, table.bound))
-    for gid, img in straighten.images.items():
-        print("%s -> %s" % (generator_name(gid), format_class(img)))
-    if failures:
-        print("product intertwining: FAILED on %d pairs" % len(failures))
-        return 1
-    print("product intertwining: ok (%d pairs)" % pairs)
-    return 0
+    rows = _images(straighten)
+    _write(args, "omega", data.name, table.bound,
+           {"images": rows, "intertwines": not failures},
+           ["omega for " + _title(data, args.coeffs, table.bound)]
+           + ["%(generator)s -> %(image)s" % row for row in rows]
+           + ["product intertwining: FAILED on %d pairs" % len(failures)
+              if failures else "product intertwining: ok (%d pairs)" % pairs])
+    return 1 if failures else 0
 
 
 def cmd_example(args):
@@ -343,41 +301,27 @@ def cmd_example(args):
 
 
 def cmd_validate(args):
-    if len(args.files) == 1:
-        data = _load_data(args.files[0])
-        problems = data.validate()
-        if problems:
-            for p in problems:
-                print("problem: %s" % p)
-            return 1
+    files = args.files
+    if len(files) not in (1, 3):
+        print("error: validate takes one data document or source, target, "
+              "morphism documents", file=sys.stderr)
+        return 2
+    datas = [_load_data(path) for path in files[:2]]
+    if len(files) == 1:
+        data = datas[0]
+        _check(data.validate(), "problem: ", result=True)
         print("ok: characteristic data %r (%d vertices, %d ghost, "
               "lattice rank %d, %d poset elements)" % (
                   data.name, len(data.vertices), len(data.ghosts), data.n,
                   len(data.poset.elements)))
         return 0
-    if len(args.files) == 3:
-        spath, tpath, mpath = args.files
-        source = _load_data(spath)
-        target = _load_data(tpath)
-        for path, data in ((spath, source), (tpath, target)):
-            problems = data.validate()
-            if problems:
-                for p in problems:
-                    print("problem in %s: %s" % (path, p))
-                return 1
-        phi = parse_morphism_document(load_document(_read(mpath)),
-                                      source, target, path=mpath)
-        problems = phi.validate()
-        if problems:
-            for p in problems:
-                print("problem: %s" % p)
-            return 1
-        print("ok: morphism %r from %r to %r" % (
-            phi.name, source.name, target.name))
-        return 0
-    print("error: validate takes one data document or source, target, "
-          "morphism documents", file=sys.stderr)
-    return 2
+    for path, data in zip(files, datas):
+        _check(data.validate(), "problem in %s: " % path, result=True)
+    phi = _load_morphism(files[2], *datas)
+    _check(phi.validate(), "problem: ", result=True)
+    print("ok: morphism %r from %r to %r" % (
+        phi.name, datas[0].name, datas[1].name))
+    return 0
 
 
 def _parser():

@@ -46,10 +46,15 @@ degree, free coordinates first and torsion coordinates reduced mod their
 invariants; the layout of a total degree lists its generators once, in
 coordinate order, for every reader of coordinates.  reduce finds the
 blocks that hold an element's keys through an index per entry, and the
-zero class of each total degree is built once.  Product tables reduce
-pairwise products of representatives, except in a total degree that
-holds no generator over the table's ring: such a product can only be
-zero, and it is stored as the zero class without being built.  A
+zero class of each total degree is built once.  One routine, _product,
+builds and reduces a product of two representatives, except in a total
+degree that holds no generator over the table's ring: such a product
+can only be zero, and it is the zero class without being built.  The
+twist enters only through the contractions iota_i iota_j against q_ij,
+so a factor of exterior degree 0 makes the twisted and untwisted
+products equal: compare_products builds only the pairs whose two
+factors both have positive exterior degree.  Sums of scaled classes add
+coordinates and make them canonical once (_combination).  A
 Hochster-style oracle recomputes moment-angle ranks from the reduced
 cohomology of full subposets, euler_oracle gives the alternating rank
 sum of every internal degree from the f-vector alone, for every chi, and
@@ -815,16 +820,32 @@ def format_class(cls):
     return " ".join(parts) if parts else "0"
 
 
+def _combination(table, total, terms):
+    """The class of sum c * x over (x, c) in terms, classes of one total
+    degree of table: the coordinates are summed as they are and made
+    canonical once, with no class built per term."""
+    acc = [0] * table.layout(total).size
+    for x, c in terms:
+        for i, a in enumerate(x.coords):
+            if a:
+                acc[i] += c * a
+    return CohomologyClass(table, total, acc)
+
+
 class ProductTable:
     """All pairwise products of representatives, reduced to classes."""
 
-    __slots__ = ("table", "twist", "generators", "products")
+    __slots__ = ("table", "twist", "products")
 
-    def __init__(self, table, twist, generators, products):
+    def __init__(self, table, twist, products):
         self.table = table
         self.twist = twist
-        self.generators = generators
         self.products = products
+
+    @property
+    def generators(self):
+        """The representatives, in the table's generator order."""
+        return tuple(self.table.generator_list())
 
     def product(self, gid_a, gid_b):
         return self.products[(gid_a, gid_b)]
@@ -835,40 +856,38 @@ class ProductTable:
         if x.table is not table or y.table is not table:
             raise ValueError("class does not live in the product table")
         total = x.total + y.total
-        acc = table.zero_class(total)
-        if not acc.coords:
-            return acc
-        gx = table.layout(x.total).generators
-        gy = table.layout(y.total).generators
-        for ga, ca in zip(gx, x.coords):
-            if not ca:
-                continue
-            for gb, cb in zip(gy, y.coords):
-                if not cb:
-                    continue
-                acc = acc + self.products[(ga.gid, gb.gid)].scale(ca * cb)
-        return acc
+        if not table.layout(total).size:
+            return table.zero_class(total)
+        gy = tuple(zip(table.layout(y.total).generators, y.coords))
+        return _combination(table, total, (
+            (self.products[(ga.gid, gb.gid)], ca * cb)
+            for ga, ca in zip(table.layout(x.total).generators, x.coords)
+            if ca for gb, cb in gy if cb))
+
+
+def _product(table, g1, g2, twist):
+    """The class of the product of two generators, twisted by twist or,
+    when it is None, the wedge product.  In a total degree with an empty
+    layout, no free and no torsion generator over the table's ring, the
+    product can only be zero: it is the zero class, neither built nor
+    reduced."""
+    total = g1.total + g2.total
+    if not table.layout(total).size:
+        return table.zero_class(total)
+    if twist is None:
+        z = wedge_product(g1.element, g2.element, table.ring, table.face)
+    else:
+        z = star_product(g1.element, g2.element, twist, table.ring,
+                         table.face)
+    return table.reduce(z, total=total)
 
 
 def product_table(table, twist=None):
     """Reduce all products of representatives; twist None means the
-    untwisted wedge product.  A product whose total degree has an empty
-    layout, no free and no torsion generator over the table's ring, can
-    only be the zero class: it is stored as that class, neither built nor
-    reduced."""
-    products = {}
-    for g1, g2 in table.generator_pairs():
-        total = g1.total + g2.total
-        if not table.layout(total).size:
-            products[(g1.gid, g2.gid)] = table.zero_class(total)
-            continue
-        if twist is None:
-            z = wedge_product(g1.element, g2.element, table.ring, table.face)
-        else:
-            z = star_product(g1.element, g2.element, twist, table.ring,
-                             table.face)
-        products[(g1.gid, g2.gid)] = table.reduce(z, total=total)
-    return ProductTable(table, twist, tuple(table.generator_list()), products)
+    untwisted wedge product (see _product for the empty-layout rule)."""
+    return ProductTable(table, twist, {
+        (g1.gid, g2.gid): _product(table, g1, g2, twist)
+        for g1, g2 in table.generator_pairs()})
 
 
 class ComparisonReport:
@@ -889,17 +908,23 @@ class ComparisonReport:
 
 
 def compare_products(table, twist=None):
-    """Compare the twisted product table (twist defaults to the one of the
-    table's characteristic data) against the untwisted one."""
+    """Compare the twisted products (twist defaults to the one of the
+    table's characteristic data) against the untwisted ones, as
+    (gid, gid, twisted, untwisted) in generator_pairs() order.  The twist
+    enters only through contractions iota_i iota_j against q_ij, so a
+    product with a factor of exterior degree 0 is the same twisted or
+    not: only the pairs whose two factors both have positive exterior
+    degree are built, once per variant by _product, the routine
+    product_table runs on every pair."""
     if twist is None:
         twist = compute_q(table.data)
-    twisted = product_table(table, twist)
-    untwisted = product_table(table, None)
     diffs = []
-    for pair, cls in twisted.products.items():
-        other = untwisted.products[pair]
-        if cls != other:
-            diffs.append((pair[0], pair[1], cls, other))
+    for g1, g2 in table.generator_pairs():
+        if g1.bidegree[0] and g2.bidegree[0]:
+            a = _product(table, g1, g2, twist)
+            b = _product(table, g1, g2, None)
+            if a != b:
+                diffs.append((g1.gid, g2.gid, a, b))
     return ComparisonReport(tuple(diffs))
 
 

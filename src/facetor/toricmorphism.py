@@ -14,7 +14,7 @@ from .facering import FaceRing, FaceRingMap, convert_element
 from .koszul import (TwistData, _add_term, compute_q, double_contract,
                      star_product, wedge_product)
 from .simplicial import CharacteristicData, same_data as _same_data
-from .torcohomology import CohomologyClass
+from .torcohomology import CohomologyClass, _combination
 
 _ZZ = CoefficientRing.integers()
 
@@ -382,11 +382,10 @@ class InducedMap:
     def apply(self, cls):
         if cls.table is not self.domain:
             raise ValueError("class does not live in the domain table")
-        out = self.codomain.zero_class(cls.total)
-        for g, c in zip(self.domain.layout(cls.total).generators, cls.coords):
-            if c:
-                out = out + self.images[g.gid].scale(c)
-        return out
+        return _combination(self.codomain, cls.total, (
+            (self.images[g.gid], c)
+            for g, c in zip(self.domain.layout(cls.total).generators,
+                            cls.coords) if c))
 
     def matrix(self, total):
         """Codomain coordinates of the image of each domain generator at

@@ -315,6 +315,27 @@ def test_skipped_products_reduce_to_zero(data, ring):
             assert star == wedge == table.zero_class(total)
 
 
+def test_compare_builds_only_pairs_of_positive_exterior_degree(monkeypatch):
+    # on cstar2 the two full tables build 39 products each; 17 pairs have
+    # two factors of positive exterior degree and a nonempty layout, and
+    # the 7 ordered pairs that differ are among them
+    calls = []
+    for name in ("star_product", "wedge_product"):
+        real = getattr(torcohomology, name)
+        monkeypatch.setattr(torcohomology, name,
+                            lambda *args, real=real: calls.append(args)
+                            or real(*args))
+    table = compute_tor(cstar2_data(), QQ)
+    report = compare_products(table)
+    assert len(calls) == 34
+    assert all(-bidegree(table.data.poset, key)[0] > 0
+               for a, b, *_ in calls for key in list(a) + list(b))
+    names = [(ga, gb) for ga, gb, _, _ in report.differences]
+    a1, a2, b = ((-1, 2), 0), ((-1, 2), 1), ((-2, 4), 0)
+    assert names == [(a1, a2), (a1, b), (a2, a1), (a2, b), (b, a1), (b, a2),
+                     (b, b)]
+
+
 def test_multiply_classes_rejects_classes_of_another_table():
     data = cstar2_data()
     rational, integral = compute_tor(data, QQ), compute_tor(data, ZZ)
