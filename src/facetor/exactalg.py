@@ -12,11 +12,15 @@ Inside the Smith kernel a rational entry whose denominator is 1 is held as
 an int, normalised on every write, so that integral work (the usual case:
 Koszul differentials have integer entries and most pivots are units) runs
 in int arithmetic; the diagonal and the transforms are turned back into
-Fractions before they are returned.  The pivot search caches the least key
-(|a|, Markowitz product, i, j) of every active row and refreshes only the
-rows that an elementary operation touched, or that meet a column whose
-length or position it changed, so the pivot sequence is that of a full
-scan of the active submatrix.
+Fractions before they are returned.  A row operation is a column operation
+on the transpose, so the kernel writes each elementary operation (swap,
+add a multiple) once and runs it on one of two sides, rows or columns;
+only rows are ever scaled.  The pivot search caches the least key
+(|a|, Markowitz product, i, j) of every active row.  One rule marks what
+it must refresh: an operation marks the lines it changed and every
+crossing line that gained or lost an entry, and the search refreshes the
+marked rows and the rows that meet a marked column, so the pivot sequence
+is that of a full scan of the active submatrix.
 """
 
 from __future__ import annotations
@@ -385,14 +389,22 @@ class _SnfState:
     are the accumulated transforms.  U and Vinv are kept row-major, Uinv and
     V column-major, so every elementary operation touches one slot of each.
 
+    A row operation on the working matrix is a column operation on its
+    transpose, so each elementary operation is written once and runs on one
+    of two sides, ``row`` or ``col``.  A side is the tuple (lines, cross,
+    fwd, inv, dirty, cross_dirty): its lines and the crossing lines, the
+    transform slots an operation on its lines updates (U, Uinv for rows;
+    V, Vinv for columns; None when not wanted), and the dirty sets of its
+    lines and of the crossing lines.
+
     Over QQ an entry with denominator 1 is held as an int (_smith turns
-    everything back into Fractions).  Each operation marks the rows and
-    columns whose values, index or length it changed as dirty; best maps
-    every active row to its least pivot key, refreshed by _find_pivot.
+    everything back into Fractions).  One rule marks dirty: an operation
+    marks each line it changed, and each crossing line in which an entry
+    appeared or vanished; best maps every active row to its least pivot
+    key, refreshed by _find_pivot.
     """
 
-    __slots__ = ("ring", "mod", "rows", "cols",
-                 "u_rows", "uinv_cols", "v_cols", "vinv_rows",
+    __slots__ = ("ring", "mod", "rows", "cols", "row", "col",
                  "best", "dirty_rows", "dirty_cols")
 
     def __init__(self, matrix, want):
@@ -408,80 +420,25 @@ class _SnfState:
             for j, v in row.items():
                 self.cols.setdefault(j, {})[i] = v
         m, n = matrix.nrows, matrix.ncols
-        self.u_rows = [{i: 1} for i in range(m)] if "U" in want else None
-        self.uinv_cols = [{i: 1} for i in range(m)] if "Uinv" in want else None
-        self.v_cols = [{j: 1} for j in range(n)] if "V" in want else None
-        self.vinv_rows = [{j: 1} for j in range(n)] if "Vinv" in want else None
+
+        def slots(name, size):
+            return [{i: 1} for i in range(size)] if name in want else None
+
         self.best = {}
         self.dirty_rows = set(self.rows)
         self.dirty_cols = set()
+        self.row = (self.rows, self.cols, slots("U", m), slots("Uinv", m),
+                    self.dirty_rows, self.dirty_cols)
+        self.col = (self.cols, self.rows, slots("V", n), slots("Vinv", n),
+                    self.dirty_cols, self.dirty_rows)
 
     def inverse(self, u):
         return _integral(self.ring.inverse(u))
 
-    # Elementary row operations.  current' = E @ current means U' = E @ U
-    # (same row op) and Uinv' = Uinv @ E^-1 (inverse column op).
-
-    def row_swap(self, i1, i2):
-        if i1 == i2:
-            return
-        rows, cols = self.rows, self.cols
-        r1, r2 = rows.pop(i1, None), rows.pop(i2, None)
-        if r2 is not None:
-            rows[i1] = r2
-        if r1 is not None:
-            rows[i2] = r1
-        for j in set(r1 or ()) | set(r2 or ()):
-            cj = cols[j]
-            v1, v2 = cj.pop(i1, None), cj.pop(i2, None)
-            if v2 is not None:
-                cj[i1] = v2
-            if v1 is not None:
-                cj[i2] = v1
-        self.dirty_rows.update((i1, i2))
-        u = self.u_rows
-        if u is not None:
-            u[i1], u[i2] = u[i2], u[i1]
-        ui = self.uinv_cols
-        if ui is not None:
-            ui[i1], ui[i2] = ui[i2], ui[i1]
-
-    def row_axpy(self, i, k, c):
-        """row_i += c * row_k (i != k)."""
-        rows, cols, mod = self.rows, self.cols, self.mod
-        dirty_cols = self.dirty_cols
-        ri = rows.get(i)
-        if ri is None:
-            ri = rows[i] = {}
-        for j, v in rows.get(k, {}).items():
-            w = ri.get(j, 0) + c * v
-            if mod:
-                w %= mod
-            elif w.__class__ is Fraction and w.denominator == 1:
-                w = w.numerator
-            cj = cols[j]
-            if w:
-                if j not in ri:
-                    dirty_cols.add(j)
-                ri[j] = w
-                cj[i] = w
-            else:
-                dirty_cols.add(j)
-                ri.pop(j, None)
-                cj.pop(i, None)
-                if not cj:
-                    del cols[j]
-        if not ri:
-            del rows[i]
-        self.dirty_rows.add(i)
-        if self.u_rows is not None:
-            _axpy(self.u_rows[i], c, self.u_rows[k], mod)
-        if self.uinv_cols is not None:
-            _axpy(self.uinv_cols[k], -c, self.uinv_cols[i], mod)
-
     def row_scale(self, i, u):
         """row_i *= u for a unit u."""
-        rows, cols, mod = self.rows, self.cols, self.mod
+        rows, cols, u_rows, uinv_cols, dirty_rows, _ = self.row
+        mod = self.mod
         ri = rows.get(i, {})
         for j in list(ri):
             w = u * ri[j]
@@ -491,70 +448,76 @@ class _SnfState:
                 w = w.numerator
             ri[j] = w
             cols[j][i] = w
-        self.dirty_rows.add(i)
-        if self.u_rows is not None:
-            self.u_rows[i] = _scaled(u, self.u_rows[i], mod)
-        if self.uinv_cols is not None:
-            self.uinv_cols[i] = _scaled(self.inverse(u), self.uinv_cols[i], mod)
+        dirty_rows.add(i)
+        if u_rows is not None:
+            u_rows[i] = _scaled(u, u_rows[i], mod)
+        if uinv_cols is not None:
+            uinv_cols[i] = _scaled(self.inverse(u), uinv_cols[i], mod)
 
-    # Column operations.  current' = current @ F means V' = V @ F and
-    # Vinv' = F^-1 @ Vinv (inverse row op).
 
-    def col_swap(self, j1, j2):
-        if j1 == j2:
-            return
-        rows, cols = self.rows, self.cols
-        c1, c2 = cols.pop(j1, None), cols.pop(j2, None)
-        if c2 is not None:
-            cols[j1] = c2
-        if c1 is not None:
-            cols[j2] = c1
-        for i in set(c1 or ()) | set(c2 or ()):
-            ri = rows[i]
-            v1, v2 = ri.pop(j1, None), ri.pop(j2, None)
-            if v2 is not None:
-                ri[j1] = v2
-            if v1 is not None:
-                ri[j2] = v1
-        self.dirty_cols.update((j1, j2))
-        v = self.v_cols
-        if v is not None:
-            v[j1], v[j2] = v[j2], v[j1]
-        vi = self.vinv_rows
-        if vi is not None:
-            vi[j1], vi[j2] = vi[j2], vi[j1]
+# Elementary operations on one side.  A row operation current' = E @ current
+# means U' = E @ U (the same row operation) and Uinv' = Uinv @ E^-1 (the
+# inverse column operation); a column operation current' = current @ F
+# means V' = V @ F and Vinv' = F^-1 @ Vinv.
 
-    def col_axpy(self, j, k, c):
-        """col_j += c * col_k (j != k)."""
-        rows, cols, mod = self.rows, self.cols, self.mod
-        dirty_rows = self.dirty_rows
-        cj = cols.get(j)
-        if cj is None:
-            cj = cols[j] = {}
-        for i, v in cols.get(k, {}).items():
-            w = cj.get(i, 0) + c * v
-            if mod:
-                w %= mod
-            elif w.__class__ is Fraction and w.denominator == 1:
-                w = w.numerator
-            ri = rows[i]
-            if w:
-                cj[i] = w
-                ri[j] = w
-            else:
-                # row i leaves column j, so refreshing j will not reach it
-                dirty_rows.add(i)
-                cj.pop(i, None)
-                ri.pop(j, None)
-                if not ri:
-                    del rows[i]
-        if not cj:
-            del cols[j]
-        self.dirty_cols.add(j)
-        if self.v_cols is not None:
-            _axpy(self.v_cols[j], c, self.v_cols[k], mod)
-        if self.vinv_rows is not None:
-            _axpy(self.vinv_rows[k], -c, self.vinv_rows[j], mod)
+def _swap(side, a, b):
+    """Swap lines a and b of one side."""
+    if a == b:
+        return
+    lines, cross, fwd, inv, dirty, _ = side
+    la, lb = lines.pop(a, None), lines.pop(b, None)
+    if lb is not None:
+        lines[a] = lb
+    if la is not None:
+        lines[b] = la
+    for j in set(la or ()) | set(lb or ()):
+        cj = cross[j]
+        va, vb = cj.pop(a, None), cj.pop(b, None)
+        if vb is not None:
+            cj[a] = vb
+        if va is not None:
+            cj[b] = va
+    dirty.update((a, b))
+    if fwd is not None:
+        fwd[a], fwd[b] = fwd[b], fwd[a]
+    if inv is not None:
+        inv[a], inv[b] = inv[b], inv[a]
+
+
+def _add(side, mod, i, k, c):
+    """line_i += c * line_k on one side (i != k)."""
+    lines, cross, fwd, inv, dirty, cross_dirty = side
+    li = lines.get(i)
+    if li is None:
+        li = lines[i] = {}
+    for j, v in lines.get(k, {}).items():
+        w = li.get(j, 0) + c * v
+        if mod:
+            w %= mod
+        elif w.__class__ is Fraction and w.denominator == 1:
+            w = w.numerator
+        # a crossing line that gains or loses an entry is dirty: its length
+        # enters the Markowitz keys, and a row that leaves a column is not
+        # reached by refreshing that column
+        cj = cross[j]
+        if w:
+            if j not in li:
+                cross_dirty.add(j)
+            li[j] = w
+            cj[i] = w
+        else:
+            cross_dirty.add(j)
+            li.pop(j, None)
+            cj.pop(i, None)
+            if not cj:
+                del cross[j]
+    if not li:
+        del lines[i]
+    dirty.add(i)
+    if fwd is not None:
+        _axpy(fwd[i], c, fwd[k], mod)
+    if inv is not None:
+        _axpy(inv[k], -c, inv[i], mod)
 
 
 def _integral(x):
@@ -623,35 +586,27 @@ def _find_pivot(state, t):
 def _clear_cross_integer(state, t):
     """Clear row t and column t (beyond t) over ZZ; pivot at (t,t) stays
     nonzero and ends positive."""
-    rows, cols = state.rows, state.cols
-    while True:
-        centries = [i for i in cols.get(t, {}) if i != t]
-        rentries = [j for j in rows.get(t, {}) if j != t]
-        if not centries and not rentries:
-            break
-        bi, bj, bv = t, t, abs(rows[t][t])
-        for i in sorted(centries):
-            a = abs(cols[t][i])
-            if a < bv:
-                bi, bj, bv = i, t, a
-        for j in sorted(rentries):
-            a = abs(rows[t][j])
-            if a < bv:
-                bi, bj, bv = t, j, a
-        if bi != t:
-            state.row_swap(t, bi)
-        elif bj != t:
-            state.col_swap(t, bj)
-        p = rows[t][t]
-        for i in sorted(i for i in cols[t] if i != t):
-            q = cols[t][i] // p
-            if q:
-                state.row_axpy(i, t, -q)
-        for j in sorted(j for j in rows.get(t, {}) if j != t):
-            q = rows[t][j] // p
-            if q:
-                state.col_axpy(j, t, -q)
-    if rows[t][t] < 0:
+    sides = (state.row, state.col)
+    # column t is the crossing line t of the row side, row t that of the
+    # column side; both hold the pivot
+    while any(len(side[1][t]) > 1 for side in sides):
+        # the first least entry of pivot, column t, row t moves to (t,t)
+        least, bv = None, abs(state.rows[t][t])
+        for side in sides:
+            cross_t = side[1][t]
+            for i in sorted(cross_t):
+                a = abs(cross_t[i])
+                if i != t and a < bv:
+                    least, bv = (side, i), a
+        if least is not None:
+            _swap(least[0], t, least[1])
+        p = state.rows[t][t]
+        for side in sides:
+            for i in sorted(i for i in side[1][t] if i != t):
+                q = side[1][t][i] // p
+                if q:
+                    _add(side, None, i, t, -q)
+    if state.rows[t][t] < 0:
         state.row_scale(t, -1)
 
 
@@ -660,16 +615,16 @@ def _eliminate_at(state, t):
     piv = _find_pivot(state, t)
     if piv is None:
         return False
-    state.row_swap(t, piv[0])
-    state.col_swap(t, piv[1])
+    sides = (state.row, state.col)
+    for side, line in zip(sides, piv):
+        _swap(side, t, line)
     if state.ring.is_field:
         p = state.rows[t][t]
         if p != 1:
             state.row_scale(t, state.inverse(p))
-        for i in sorted(i for i in state.cols[t] if i != t):
-            state.row_axpy(i, t, state.ring.neg(state.cols[t][i]))
-        for j in sorted(j for j in state.rows.get(t, {}) if j != t):
-            state.col_axpy(j, t, state.ring.neg(state.rows[t][j]))
+        for side in sides:
+            for i in sorted(i for i in side[1][t] if i != t):
+                _add(side, state.mod, i, t, state.ring.neg(side[1][t][i]))
     else:
         _clear_cross_integer(state, t)
     return True
@@ -699,7 +654,7 @@ def _smith(matrix, want):
             if bad is None:
                 t += 1
                 continue
-            state.col_axpy(t, bad, 1)
+            _add(state.col, None, t, bad, 1)
             _clear_cross_integer(state, t)
         for s in range(r):
             if state.rows[s][s] < 0:
@@ -708,10 +663,11 @@ def _smith(matrix, want):
     diagonal = [state.rows[t][t] for t in range(r)]
     m, n = matrix.nrows, matrix.ncols
     ring = matrix.ring
+    _, _, u_rows, uinv_cols, _, _ = state.row
+    _, _, v_cols, vinv_rows, _, _ = state.col
     if ring.kind == "QQ":
         diagonal = [Fraction(d) for d in diagonal]
-        for slots in (state.u_rows, state.uinv_cols, state.v_cols,
-                      state.vinv_rows):
+        for slots in (u_rows, uinv_cols, v_cols, vinv_rows):
             if slots is not None:
                 _fractions_in_place(slots)
 
@@ -729,10 +685,10 @@ def _smith(matrix, want):
                 out.rows.setdefault(i, {})[j] = v
         return out
 
-    U = rows_to_matrix(state.u_rows, m) if state.u_rows is not None else None
-    Uinv = cols_to_matrix(state.uinv_cols, m) if state.uinv_cols is not None else None
-    V = cols_to_matrix(state.v_cols, n) if state.v_cols is not None else None
-    Vinv = rows_to_matrix(state.vinv_rows, n) if state.vinv_rows is not None else None
+    U = rows_to_matrix(u_rows, m) if u_rows is not None else None
+    Uinv = cols_to_matrix(uinv_cols, m) if uinv_cols is not None else None
+    V = cols_to_matrix(v_cols, n) if v_cols is not None else None
+    Vinv = rows_to_matrix(vinv_rows, n) if vinv_rows is not None else None
     return SmithForm(m, n, ring, diagonal, U, Uinv, V, Vinv)
 
 

@@ -671,3 +671,62 @@ def test_cached_pivots_match_full_scan_on_a_quotient():
                 table.multidegree_block(bd, ())
     assert len(table.entries) == 24
     assert len(picks) > 1000
+
+
+def state_matrices(state, m, n, ring):
+    """The working matrix and U, Uinv, V, Vinv of a Smith state."""
+    def from_slots(slots, size):
+        out = ExactMatrix(size, size, ring)
+        out.rows = {i: dict(s) for i, s in enumerate(slots) if s}
+        return out
+
+    current = ExactMatrix(m, n, ring)
+    current.rows = {i: dict(row) for i, row in state.rows.items()}
+    _, _, u_rows, uinv_cols, _, _ = state.row
+    _, _, v_cols, vinv_rows, _, _ = state.col
+    return (current, from_slots(u_rows, m), from_slots(uinv_cols, m).transpose(),
+            from_slots(v_cols, n).transpose(), from_slots(vinv_rows, n))
+
+
+def test_cached_pivots_follow_any_operation_sequence():
+    # The kernel calls _swap, _add and row_scale in one fixed pattern, which
+    # can hide a stale cached key; after any sequence of them, on either
+    # side, the cache must still pick what a full scan picks.
+    rnd = random.Random(7041)
+    for draw in range(3000):
+        ring = (QQ, ZZ, F3)[draw % 3]
+        m, n = rnd.randint(1, 6), rnd.randint(1, 6)
+        A = ExactMatrix(m, n, ring)
+        for i in range(m):
+            for j in range(n):
+                if rnd.random() < 0.5:
+                    A.set(i, j, Fraction(rnd.randint(-3, 3), rnd.randint(1, 2))
+                          if ring is QQ else rnd.randint(-3, 3))
+        state = exactalg._SnfState(A, ("U", "Uinv", "V", "Vinv"))
+        for _ in range(8):
+            side, size = rnd.choice(((state.row, m), (state.col, n)))
+            a, b = rnd.randrange(size), rnd.randrange(size)
+            op = rnd.randrange(3)
+            if op == 0:
+                exactalg._swap(side, a, b)
+            elif op == 1 and a != b:
+                # mostly a multiple that zeroes a shared entry
+                la, lb = side[0].get(a, {}), side[0].get(b, {})
+                shared = sorted(la.keys() & lb.keys())
+                c = None
+                if shared and rnd.random() < 0.7:
+                    j = rnd.choice(shared)
+                    c = ring.exact_div(ring.neg(la[j]), lb[j])
+                if not c:
+                    c = ring.convert(rnd.choice((-2, -1, 1, 2)))
+                exactalg._add(side, state.mod, a, b, exactalg._integral(c))
+            elif op == 2:
+                unit = {QQ: Fraction(rnd.choice((-3, -1, 2)), rnd.randint(1, 2)),
+                        ZZ: -1, F3: rnd.randint(1, 2)}[ring]
+                state.row_scale(rnd.randrange(m), exactalg._integral(unit))
+            assert exactalg._find_pivot(state, 0) == full_scan_pivot(state, 0)
+        current, U, Uinv, V, Vinv = state_matrices(state, m, n, ring)
+        assert current.transpose().rows == state.cols
+        assert U @ A @ V == current
+        assert U @ Uinv == ExactMatrix.identity(m, ring)
+        assert V @ Vinv == ExactMatrix.identity(n, ring)
