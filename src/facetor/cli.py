@@ -306,17 +306,19 @@ def cmd_validate(args):
         print("error: validate takes one data document or source, target, "
               "morphism documents", file=sys.stderr)
         return 2
-    datas = [_load_data(path) for path in files[:2]]
     if len(files) == 1:
-        data = datas[0]
+        data = _load_data(files[0])
         _check(data.validate(), "problem: ", result=True)
         print("ok: characteristic data %r (%d vertices, %d ghost, "
               "lattice rank %d, %d poset elements)" % (
                   data.name, len(data.vertices), len(data.ghosts), data.n,
                   len(data.poset.elements)))
         return 0
-    for path, data in zip(files, datas):
-        _check(data.validate(), "problem in %s: " % path, result=True)
+    # as map does: each data document is checked before the next is read
+    datas = []
+    for path in files[:2]:
+        datas.append(_load_data(path))
+        _check(datas[-1].validate(), "problem in %s: " % path, result=True)
     phi = _load_morphism(files[2], *datas)
     _check(phi.validate(), "problem: ", result=True)
     print("ok: morphism %r from %r to %r" % (

@@ -53,7 +53,8 @@ can only be zero, and it is the zero class without being built.  The
 twist enters only through the contractions iota_i iota_j against q_ij,
 so a factor of exterior degree 0 makes the twisted and untwisted
 products equal: compare_products builds only the pairs whose two
-factors both have positive exterior degree.  Sums of scaled classes add
+factors both have positive exterior degree, and none at all when every
+q_ij is zero.  Sums of scaled classes add
 coordinates and make them canonical once (_combination).  A
 Hochster-style oracle recomputes moment-angle ranks from the reduced
 cohomology of full subposets, euler_oracle gives the alternating rank
@@ -915,9 +916,12 @@ def compare_products(table, twist=None):
     product with a factor of exterior degree 0 is the same twisted or
     not: only the pairs whose two factors both have positive exterior
     degree are built, once per variant by _product, the routine
-    product_table runs on every pair."""
+    product_table runs on every pair.  With no twist coefficient at all
+    (q = 0) the star product is the wedge product and nothing is built."""
     if twist is None:
         twist = compute_q(table.data)
+    if not twist.q:
+        return ComparisonReport(())
     diffs = []
     for g1, g2 in table.generator_pairs():
         if g1.bidegree[0] and g2.bidegree[0]:

@@ -791,6 +791,20 @@ def test_validate_frozen(capsys, tmp_path, docs):
         assert run_cli(capsys, "validate", *files) == (rc, out, ""), files
 
 
+def test_validate_checks_each_data_document_before_reading_the_next(
+        capsys, tmp_path, docs):
+    # the order of map: an invalid source wins over a missing target
+    missing = str(tmp_path / "missing.json")
+    bad_in = "problem in %s: %s\n" % (docs["bad"], BAD_PROBLEM)
+    assert run_cli(capsys, "validate", docs["bad"], missing,
+                   docs["bc"]) == (1, bad_in, "")
+    assert run_cli(capsys, "map", docs["bad"], missing, docs["bc"]) == (
+        1, "", "invalid %s: %s\n" % (docs["bad"], BAD_PROBLEM))
+    rc, out, err = run_cli(capsys, "validate", docs["cstar2"], missing,
+                           docs["bc"])
+    assert (rc, out) == (2, "") and err.startswith("error: cannot read")
+
+
 def test_invalid_input_reports_frozen(capsys, tmp_path, docs):
     flip = flip_document(tmp_path)
     bad = "invalid %s: %s\n" % (docs["bad"], BAD_PROBLEM)

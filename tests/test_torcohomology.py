@@ -356,6 +356,25 @@ def test_compare_products_agreement_cases():
     assert compare_products(compute_tor(mac, QQ)).agree
 
 
+def test_compare_products_builds_no_product_without_twist(monkeypatch):
+    # moment-angle data have q = 0, where the star product is the wedge
+    # product; the pairs below would otherwise be built twice each
+    data = moment_angle([["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]])
+    table = compute_tor(data, QQ)
+    assert not compute_q(data).q
+    assert any(g1.bidegree[0] and g2.bidegree[0]
+               for g1, g2 in table.generator_pairs())
+    built = []
+    for name in ("star_product", "wedge_product"):
+        real = getattr(torcohomology, name)
+        monkeypatch.setattr(torcohomology, name,
+                            lambda *args, real=real: built.append(1)
+                            or real(*args))
+    assert compare_products(table).agree
+    assert compare_products(table, TwistData.zero(data.n)).agree
+    assert built == []
+
+
 @st.composite
 def opposite_points_data(draw):
     """Two or three points in a rank-3 lattice, two of them on opposite
