@@ -671,25 +671,17 @@ def _smith(matrix, want):
             if slots is not None:
                 _fractions_in_place(slots)
 
-    def rows_to_matrix(row_dicts, size):
+    def to_matrix(slots, size, by_rows):
+        """A transform from its slots: its rows, or else its columns."""
+        if slots is None:
+            return None
         out = ExactMatrix(size, size, ring)
-        for i, row in enumerate(row_dicts):
-            if row:
-                out.rows[i] = row
-        return out
+        out.rows = {i: slot for i, slot in enumerate(slots) if slot}
+        return out if by_rows else out.transpose()
 
-    def cols_to_matrix(col_dicts, size):
-        out = ExactMatrix(size, size, ring)
-        for j, col in enumerate(col_dicts):
-            for i, v in col.items():
-                out.rows.setdefault(i, {})[j] = v
-        return out
-
-    U = rows_to_matrix(u_rows, m) if u_rows is not None else None
-    Uinv = cols_to_matrix(uinv_cols, m) if uinv_cols is not None else None
-    V = cols_to_matrix(v_cols, n) if v_cols is not None else None
-    Vinv = rows_to_matrix(vinv_rows, n) if vinv_rows is not None else None
-    return SmithForm(m, n, ring, diagonal, U, Uinv, V, Vinv)
+    return SmithForm(m, n, ring, diagonal,
+                     to_matrix(u_rows, m, True), to_matrix(uinv_cols, m, False),
+                     to_matrix(v_cols, n, False), to_matrix(vinv_rows, n, True))
 
 
 def _fractions_in_place(slots):
