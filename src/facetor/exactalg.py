@@ -420,16 +420,16 @@ class _SnfState:
             for j, v in row.items():
                 self.cols.setdefault(j, {})[i] = v
         m, n = matrix.nrows, matrix.ncols
-
-        def slots(name, size):
-            return [{i: 1} for i in range(size)] if name in want else None
-
+        u = [{i: 1} for i in range(m)] if "U" in want else None
+        uinv = [{i: 1} for i in range(m)] if "Uinv" in want else None
+        v = [{j: 1} for j in range(n)] if "V" in want else None
+        vinv = [{j: 1} for j in range(n)] if "Vinv" in want else None
         self.best = {}
         self.dirty_rows = set(self.rows)
         self.dirty_cols = set()
-        self.row = (self.rows, self.cols, slots("U", m), slots("Uinv", m),
+        self.row = (self.rows, self.cols, u, uinv,
                     self.dirty_rows, self.dirty_cols)
-        self.col = (self.cols, self.rows, slots("V", n), slots("Vinv", n),
+        self.col = (self.cols, self.rows, v, vinv,
                     self.dirty_cols, self.dirty_rows)
 
     def inverse(self, u):
@@ -491,7 +491,8 @@ def _add(side, mod, i, k, c):
     if li is None:
         li = lines[i] = {}
     for j, v in lines.get(k, {}).items():
-        w = li.get(j, 0) + c * v
+        old = li.get(j, 0)
+        w = old + c * v
         if mod:
             w %= mod
         elif w.__class__ is Fraction and w.denominator == 1:
@@ -501,7 +502,7 @@ def _add(side, mod, i, k, c):
         # reached by refreshing that column
         cj = cross[j]
         if w:
-            if j not in li:
+            if not old:
                 cross_dirty.add(j)
             li[j] = w
             cj[i] = w
@@ -615,14 +616,13 @@ def _eliminate_at(state, t):
     piv = _find_pivot(state, t)
     if piv is None:
         return False
-    sides = (state.row, state.col)
-    for side, line in zip(sides, piv):
-        _swap(side, t, line)
+    _swap(state.row, t, piv[0])
+    _swap(state.col, t, piv[1])
     if state.ring.is_field:
         p = state.rows[t][t]
         if p != 1:
             state.row_scale(t, state.inverse(p))
-        for side in sides:
+        for side in (state.row, state.col):
             for i in sorted(i for i in side[1][t] if i != t):
                 _add(side, state.mod, i, t, state.ring.neg(side[1][t][i]))
     else:
