@@ -590,7 +590,7 @@ def _clear_cross_integer(state, t):
     sides = (state.row, state.col)
     # column t is the crossing line t of the row side, row t that of the
     # column side; both hold the pivot
-    while any(len(side[1][t]) > 1 for side in sides):
+    while len(state.cols[t]) > 1 or len(state.rows[t]) > 1:
         # the first least entry of pivot, column t, row t moves to (t,t)
         least, bv = None, abs(state.rows[t][t])
         for side in sides:
@@ -676,8 +676,13 @@ def _smith(matrix, want):
         if slots is None:
             return None
         out = ExactMatrix(size, size, ring)
-        out.rows = {i: slot for i, slot in enumerate(slots) if slot}
-        return out if by_rows else out.transpose()
+        if by_rows:
+            out.rows = {i: slot for i, slot in enumerate(slots) if slot}
+        else:
+            for j, slot in enumerate(slots):
+                for i, v in slot.items():
+                    out.rows.setdefault(i, {})[j] = v
+        return out
 
     return SmithForm(m, n, ring, diagonal,
                      to_matrix(u_rows, m, True), to_matrix(uinv_cols, m, False),
