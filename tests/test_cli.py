@@ -885,3 +885,50 @@ def test_mult_compare_agreeing_structured_frozen(capsys, tmp_path):
                                              {"chi": [-1, -1], "id": "r2"}]},
                        "differences": [], "document": "product-comparison",
                        "max_total_degree": 5, "name": "cp2"}), "")
+
+
+# the vertices a, b, and g marked ghost; the vertex list of element or
+# facet 1 is [b, BAD], so every error names entry [1][1]
+VERTEX_LIST_VERTICES = [{"id": "a", "chi": [1, 0]}, {"id": "b", "chi": [0, 1]},
+                        {"id": "g", "chi": [1, 1], "ghost": True}]
+VERTEX_LIST_ERRORS = [
+    ("zz", "unknown vertex 'zz'"),
+    ("g", "vertex 'g' is marked ghost"),
+    (7, "expected a string"),
+]
+
+
+@pytest.mark.parametrize("bad, message", VERTEX_LIST_ERRORS)
+def test_facets_vertex_list_errors_frozen(capsys, tmp_path, bad, message):
+    path = write(tmp_path, "facets.json", {
+        "name": "bad-facets", "lattice_rank": 2,
+        "vertices": VERTEX_LIST_VERTICES, "facets": [["a"], ["b", bad]]})
+    assert run_cli(capsys, "validate", path) == (
+        2, "", "error: %s.facets[1][1]: %s\n" % (path, message))
+
+
+@pytest.mark.parametrize("bad, message", VERTEX_LIST_ERRORS)
+def test_elements_vertex_list_errors_frozen(capsys, tmp_path, bad, message):
+    path = write(tmp_path, "elements.json", {
+        "name": "bad-elements", "lattice_rank": 2,
+        "vertices": VERTEX_LIST_VERTICES,
+        "elements": [{"id": "A", "vertices": ["a"], "covers": []},
+                     {"id": "B", "vertices": ["b", bad], "covers": []}]})
+    assert run_cli(capsys, "validate", path) == (
+        2, "", "error: %s.elements[1].vertices[1]: %s\n" % (path, message))
+
+
+@pytest.mark.parametrize("shape", ["facets", "elements"])
+def test_unused_vertex_error_frozen(capsys, tmp_path, shape):
+    doc = {"name": "unused", "lattice_rank": 2,
+           "vertices": VERTEX_LIST_VERTICES[:2]
+           + [{"id": "c", "chi": [-1, -1]}]}
+    if shape == "facets":
+        doc["facets"] = [["a", "b"]]
+    else:
+        doc["elements"] = [{"id": "A", "vertices": ["a"], "covers": []},
+                           {"id": "B", "vertices": ["b"], "covers": []}]
+    path = write(tmp_path, "unused.json", doc)
+    assert run_cli(capsys, "validate", path) == (
+        2, "", "error: %s.vertices[2]: vertex 'c' appears nowhere; "
+        "mark it ghost\n" % path)
