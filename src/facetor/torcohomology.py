@@ -25,7 +25,11 @@ vertex set, and each gives its own key.  The Koszul complex of the face
 ring is exact over every coefficient ring in the other multidegrees
 (Hochster's formula for complexes; Lu and Panov, "Moment-angle complexes
 from simplicial posets", for posets), so those blocks carry no
-cohomology.  With any other chi each bidegree is solved whole.
+cohomology.  With any other chi each bidegree is solved whole, as the one
+block of the trivial multidegree ().  The table decides this grading in
+one place: it lists the multidegrees built in an internal degree, the
+keys of a block, and the multidegree of a key, and compute_tor,
+multidegree_block and coboundary_witness read only these.
 
 Two more cuts build no block that topology proves zero.  The table is the
 cohomology of X = Z_P x_{T^m} T^n, a CW complex of dimension N = n + d,
@@ -405,11 +409,13 @@ class TorTable:
 
     squarefree is true when chi is the identity: the entries then hold
     only the squarefree multidegree blocks, otherwise one block per
-    bidegree.  top is the dimension n + d of the space, d the largest
-    element rank: the entries of higher total degree hold no block."""
+    bidegree, of multidegree () (the grading routines _multidegrees,
+    _block_keys and _key_multidegree).  top is the dimension n + d of the
+    space, d the largest element rank: the entries of higher total degree
+    hold no block."""
 
     __slots__ = ("data", "ring", "bound", "squarefree", "top", "face",
-                 "entries", "_layouts", "_monomials", "_blocks",
+                 "entries", "_layouts", "_poset_pos", "_blocks",
                  "_columns", "_contractions", "_zeros")
 
     def __init__(self, data, ring, bound, face):
@@ -421,7 +427,9 @@ class TorTable:
         self.face = face
         self.entries = {}
         self._layouts = {}
-        self._monomials = {}
+        # poset vertex position of each ambient vertex, None for ghosts
+        self._poset_pos = [data.poset.vertex_pos.get(v)
+                           for v in data.vertices]
         self._blocks = {}
         self._columns = {}
         self._contractions = {}
@@ -563,17 +571,10 @@ class TorTable:
         cls = self.reduce(z)
         if not cls.is_zero:
             raise ValueError("class is not zero; no witness exists")
-        ambient_pos = [self.data.vertex_index[v]
-                       for v in self.data.poset.vertices]
         mod = self.ring.modulus
         witness = {}
         for bd, comp in self._components(z).items():
-            if self.squarefree:
-                mus = {_multidegree(self.data, self.face, ambient_pos, key)
-                       for key in comp}
-            else:
-                mus = {()}
-            for mu in sorted(mus):
+            for mu in sorted({self._key_multidegree(key) for key in comp}):
                 block = self.multidegree_block(bd, mu)
                 y = block.kernel_coords(self.ring, block.local(comp))
                 if not y:
@@ -601,13 +602,7 @@ class TorTable:
                              % (mu, bidegree))
         block = self._blocks.get((bidegree, mu))
         if block is None:
-            if self.squarefree:
-                poset_pos = _poset_positions(self.data)
-                keys = [_multidegree_keys(self.face, poset_pos, mu, j)
-                        for j in (k - 1, k, k + 1)]
-            else:
-                keys = [bidegree_basis(self.face, self.data.n, j, t)
-                        for j in (k - 1, k, k + 1)]
+            keys = [self._block_keys(mu, j, t) for j in (k - 1, k, k + 1)]
             block = _Block(self.ring, keys[1],
                            {key: i for i, key in enumerate(keys[0])},
                            keys[2], self.column)
@@ -625,60 +620,68 @@ class TorTable:
 
     def _is_basis_key(self, key):
         """Whether (S, mono) is a Koszul basis key: S strictly increasing
-        in 1..n, mono a standard monomial (per-degree sets are cached)."""
+        in 1..n, mono a standard monomial of its degree."""
         S, mono = key
         if not all(a < b for a, b in zip((0,) + S, S + (self.data.n + 1,))):
             return False
-        d = monomial_degree(self.data.poset, mono)
-        monos = self._monomials.get(d)
-        if monos is None:
-            monos = frozenset(self.face.basis_of_degree(d))
-            self._monomials[d] = monos
-        return mono in monos
+        return mono in self.face._basis_positions(
+            monomial_degree(self.data.poset, mono))
+
+    def _multidegrees(self, t, is_cone):
+        """The multidegrees compute_tor builds in internal degree t: on a
+        squarefree table each vertex set W of size t/2, as a 0/1 tuple
+        over the ambient vertices, that is_cone (_cone_test; None accepts
+        none) does not accept; on any other table the one multidegree ()
+        of the whole bidegree."""
+        if not self.squarefree:
+            return [()]
+        m = len(self.data.vertices)
+        return [tuple(1 if i in w else 0 for i in range(m))
+                for w in combinations(range(m), t // 2)
+                if is_cone is None or not is_cone(sum(1 << i for i in w))]
+
+    def _block_keys(self, mu, k, t):
+        """The basis keys (S, m) of block mu with |S| = k in internal
+        degree t, in basis order.  On a squarefree table these are the
+        monomials m with exponent vector mu - S, one per element over its
+        support (face.monomials_from_exponents); otherwise the whole
+        bidegree basis."""
+        if not self.squarefree:
+            return bidegree_basis(self.face, self.data.n, k, t)
+        if k < 0:
+            return ()
+        keys = []
+        for S in combinations([i + 1 for i, x in enumerate(mu) if x], k):
+            rest = list(mu)
+            for i in S:
+                rest[i - 1] -= 1
+            vec = [0] * len(self.face.poset.vertices)
+            for x, p in zip(rest, self._poset_pos):
+                if x:
+                    if p is None:  # t_v vanishes on a ghost
+                        break
+                    vec[p] = x
+            else:
+                keys.extend((S, mono)
+                            for mono in self.face.monomials_from_exponents(vec))
+        return tuple(keys)
+
+    def _key_multidegree(self, key):
+        """The multidegree of the block that holds a key: on a squarefree
+        table the exponents of (S, m) over the ambient vertices, otherwise
+        ()."""
+        if not self.squarefree:
+            return ()
+        S, mono = key
+        vec = self.face.exponent_vector(mono)
+        mu = [0 if p is None else vec[p] for p in self._poset_pos]
+        for i in S:
+            mu[i - 1] += 1
+        return tuple(mu)
 
     def __repr__(self):
         return "<TorTable %s over %s, bound %d>" % (
             self.data.name or "data", self.ring, self.bound)
-
-
-def _multidegree(data, face, ambient_pos, key):
-    S, mono = key
-    mu = [0] * len(data.vertices)
-    for i in S:
-        mu[i - 1] += 1
-    vec = face.exponent_vector(mono)
-    for ppos, e in enumerate(vec):
-        if e:
-            mu[ambient_pos[ppos]] += e
-    return tuple(mu)
-
-
-def _poset_positions(data):
-    """Poset vertex position of each ambient vertex, None for ghosts."""
-    return [data.poset.vertex_pos.get(v) for v in data.vertices]
-
-
-def _multidegree_keys(face, poset_pos, mu, k):
-    """Basis keys (S, m) of multidegree mu with |S| = k, in basis order:
-    the monomials m with exponent vector mu - S, one per element over its
-    support (face.monomials_from_exponents)."""
-    if k < 0:
-        return ()
-    keys = []
-    for S in combinations([i + 1 for i, x in enumerate(mu) if x], k):
-        rest = list(mu)
-        for i in S:
-            rest[i - 1] -= 1
-        vec = [0] * len(face.poset.vertices)
-        for i, x in enumerate(rest):
-            if x:
-                if poset_pos[i] is None:  # t_v vanishes on a ghost
-                    break
-                vec[poset_pos[i]] = x
-        else:
-            keys.extend((S, mono)
-                        for mono in face.monomials_from_exponents(vec))
-    return tuple(keys)
 
 
 def _cone_test(poset, poset_pos):
@@ -701,32 +704,16 @@ def _cone_test(poset, poset_pos):
     return is_cone
 
 
-def _squarefree_keys(face, poset_pos, n, t, ks, is_cone):
-    """{k: {mu: keys}} over the squarefree multidegrees mu of internal
-    degree t: a vertex set W of size t/2, keys (S, t_sigma) with S a
-    k-subset of W and sigma an element on the rest of W.  The vertex sets
-    W that is_cone accepts (_cone_test; None accepts none) are left out."""
-    grouped = {k: {} for k in ks}
-    for w in combinations(range(n), t // 2):
-        if is_cone is not None and is_cone(sum(1 << i for i in w)):
-            continue
-        mu = tuple(1 if i in w else 0 for i in range(n))
-        for k in ks:
-            keys = _multidegree_keys(face, poset_pos, mu, k)
-            if keys:
-                grouped[k][mu] = keys
-    return grouped
-
-
 def compute_tor(data, ring, bound=None):
     """Tor table of characteristic data up to a total-degree bound
     (default: number of vertices plus the lattice rank).
 
     With identity chi each bidegree is split into its squarefree
     multidegree blocks, on complexes and posets alike; with any other chi
-    each bidegree is solved whole.  Bidegrees of total degree above
-    table.top get an entry without blocks, and on a complex identity chi
-    builds no multidegree whose full subcomplex is a cone.  Per internal
+    each bidegree is solved whole; the table decides which, in one place.
+    Bidegrees of total degree above table.top get an entry without
+    blocks, and on a complex identity chi builds no multidegree whose
+    full subcomplex is a cone.  Per internal
     degree every block runs its kernel Smith form first, in ascending k
     and sorted multidegree; then each block is finished from the rank and
     the unit diagonal of the block one step up in the same multidegree:
@@ -740,21 +727,19 @@ def compute_tor(data, ring, bound=None):
     face = FaceRing(data.poset)
     table = TorTable(data, ring, bound, face)
     n = data.n
-    poset_pos = _poset_positions(data)
-    is_cone = (_cone_test(data.poset, poset_pos) if table.squarefree
-               else None)
+    is_cone = _cone_test(data.poset, table._poset_pos)
     for t in range(0, bound + n + 1, 2):
         kmax = min(n, t // 2)
         kmin = max(0, t - bound)
         # blocks from kcut on: total degree t - k at most top
         kcut = max(kmin, t - table.top)
         ks = range(kcut - 1, kmax + 2)
-        if kcut > kmax:
-            grouped = None
-        elif table.squarefree:
-            grouped = _squarefree_keys(face, poset_pos, n, t, ks, is_cone)
-        else:  # the trivial grading: one block per bidegree
-            grouped = {k: {(): bidegree_basis(face, n, k, t)} for k in ks}
+        grouped = {k: {} for k in ks}
+        for mu in table._multidegrees(t, is_cone) if kcut <= kmax else ():
+            for k in ks:
+                keys = table._block_keys(mu, k, t)
+                if keys:
+                    grouped[k][mu] = keys
         # every kernel form first, in ascending k: {k: {mu: block}}
         blocks = {}
         for k in range(kmin, kmax + 1):
