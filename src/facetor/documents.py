@@ -10,7 +10,9 @@ the poset in exactly one of three shapes:
 
 "elements" (explicit ids with vertex lists and cover lists, for posets
 that are not complexes) or "fan" ({"rays", "cones", "ghost_rays"}, ids
-become "r0", "r1", ...) replace "facets".  A morphism document names its
+become "r0", "r1", ...) replace "facets".  Every vertex lies in a facet
+or an element unless it is marked ghost, and likewise every ray lies in
+a cone unless ghost_rays lists it; a ghost lies in none.  A morphism document names its
 endpoints, which travel as separate data documents:
 
     {"name": "...", "source": "...", "target": "...",
@@ -106,18 +108,21 @@ def _parse_vertices(obj, n, path):
     return order, chi, ghosts
 
 
+def _vertex_ids(obj, chi, ghosts, path):
+    """The vertex ids of a facet or an element: strings naming listed
+    vertices that are not marked ghost."""
+    vs = [_str(v, "%s[%d]" % (path, j)) for j, v in enumerate(_list(obj, path))]
+    for j, v in enumerate(vs):
+        if v not in chi:
+            _fail("%s[%d]" % (path, j), "unknown vertex %r" % v)
+        if v in ghosts:
+            _fail("%s[%d]" % (path, j), "vertex %r is marked ghost" % v)
+    return vs
+
+
 def _parse_facets(obj, chi, ghosts, path):
-    facets = []
-    for i, facet in enumerate(_list(obj, path)):
-        p = "%s[%d]" % (path, i)
-        vs = [_str(v, "%s[%d]" % (p, j)) for j, v in enumerate(_list(facet, p))]
-        for j, v in enumerate(vs):
-            if v not in chi:
-                _fail("%s[%d]" % (p, j), "unknown vertex %r" % v)
-            if v in ghosts:
-                _fail("%s[%d]" % (p, j), "vertex %r is marked ghost" % v)
-        facets.append(vs)
-    return facets
+    return [_vertex_ids(facet, chi, ghosts, "%s[%d]" % (path, i))
+            for i, facet in enumerate(_list(obj, path))]
 
 
 def _parse_elements(obj, chi, ghosts, path):
@@ -129,13 +134,7 @@ def _parse_elements(obj, chi, ghosts, path):
         if eid in seen:
             _fail(p + ".id", "duplicate element id %r" % eid)
         seen.add(eid)
-        vs = [_str(v, "%s.vertices[%d]" % (p, j))
-              for j, v in enumerate(_list(entry["vertices"], p + ".vertices"))]
-        for j, v in enumerate(vs):
-            if v not in chi:
-                _fail("%s.vertices[%d]" % (p, j), "unknown vertex %r" % v)
-            if v in ghosts:
-                _fail("%s.vertices[%d]" % (p, j), "vertex %r is marked ghost" % v)
+        vs = _vertex_ids(entry["vertices"], chi, ghosts, p + ".vertices")
         cs = [_str(c, "%s.covers[%d]" % (p, j))
               for j, c in enumerate(_list(entry["covers"], p + ".covers"))]
         items.append((eid, vs, cs))
@@ -164,10 +163,16 @@ def parse_data_document(obj, path="data"):
                  for i, c in enumerate(_list(fan["cones"], path + ".fan.cones"))]
         ghost_rays = _int_list(fan.get("ghost_rays", []), path + ".fan.ghost_rays")
         try:
-            return CharacteristicData.from_fan(rays, cones,
+            data = CharacteristicData.from_fan(rays, cones,
                                                ghost_rays=ghost_rays, name=name)
         except ValueError as e:
             _fail(path + ".fan", str(e))
+        used = {i for cone in cones for i in cone}
+        for i in range(len(rays)):
+            if i not in used and i not in ghost_rays:
+                _fail("%s.fan.rays[%d]" % (path, i),
+                      "ray %d lies in no cone; list it in ghost_rays" % i)
+        return data
 
     for key in ("lattice_rank", "vertices"):
         if key not in obj:

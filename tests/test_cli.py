@@ -932,3 +932,19 @@ def test_unused_vertex_error_frozen(capsys, tmp_path, shape):
     assert run_cli(capsys, "validate", path) == (
         2, "", "error: %s.vertices[2]: vertex 'c' appears nowhere; "
         "mark it ghost\n" % path)
+
+
+def test_fan_ray_in_no_cone_must_be_a_ghost(capsys, tmp_path):
+    # a ray outside every cone is a ghost only when ghost_rays says so, as
+    # a vertex in no facet is a ghost only when it is marked ghost
+    fan = {"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1]]}
+    path = write(tmp_path, "open.json", {"name": "open", "fan": fan})
+    error = ("error: %s.fan.rays[2]: ray 2 lies in no cone; list it in "
+             "ghost_rays\n" % path)
+    for command in ("validate", "tor"):
+        assert run_cli(capsys, command, path) == (2, "", error)
+    ghost = write(tmp_path, "ghost.json", {
+        "name": "ghost", "fan": dict(fan, ghost_rays=[2])})
+    assert run_cli(capsys, "validate", ghost) == (
+        0, "ok: characteristic data 'ghost' (3 vertices, 1 ghost, lattice "
+        "rank 2, 4 poset elements)\n", "")
