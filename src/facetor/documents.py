@@ -12,8 +12,8 @@ the poset in exactly one of three shapes:
 that are not complexes) or "fan" ({"rays", "cones", "ghost_rays"}, ids
 become "r0", "r1", ...) replace "facets".  Every vertex lies in a facet
 or an element unless it is marked ghost, and likewise every ray lies in
-a cone unless ghost_rays lists it; a ghost lies in none.  A morphism document names its
-endpoints, which travel as separate data documents:
+a cone unless ghost_rays lists it; a ghost lies in none.  A morphism
+document names its endpoints, which travel as separate data documents:
 
     {"name": "...", "source": "...", "target": "...",
      "matrix": [[2, 0], [0, 2]], "nu": [["{v}", "{v}"]]}
