@@ -948,3 +948,45 @@ def test_fan_ray_in_no_cone_must_be_a_ghost(capsys, tmp_path):
     assert run_cli(capsys, "validate", ghost) == (
         0, "ok: characteristic data 'ghost' (3 vertices, 1 ghost, lattice "
         "rank 2, 4 poset elements)\n", "")
+
+
+def test_printed_sums_frozen(capsys, docs):
+    # every printer of a signed sum: non-unit negative coefficients spaced
+    # and unspaced, QQ fractions, constants, zero coordinates, the empty sum
+    from fractions import Fraction
+
+    from facetor.exactalg import CoefficientRing
+    from facetor.facering import format_element
+    from facetor.koszul import format_koszul
+    from facetor.torcohomology import CohomologyClass, compute_tor, \
+        format_class
+
+    v, w, vw = (("{v}", 1),), (("{w}", 1),), (("{v}", 1), ("{w}", 2))
+    assert format_element({(): -1, v: -2, w: Fraction(1, 2), vw: -1}) == (
+        "-1-2*t[{v}]+1/2*t[{w}]-t[{v}]*t[{w}]^2")
+    assert format_element({(): Fraction(3, 2), v: 1, w: -Fraction(1, 2)}) \
+        == "3/2+t[{v}]-1/2*t[{w}]"
+    assert format_element({}) == "0"
+    assert format_koszul({((1,), ()): -2, ((), ()): Fraction(1, 2),
+                          ((1, 2), v): 1, ((2,), w): -1}) == (
+        "1/2-2*a[1]-a[2]*t[{w}]+a[1]a[2]*t[{v}]")
+    assert format_koszul({((), ()): -1, ((1,), w): Fraction(-1, 2)}) == (
+        "-1-1/2*a[1]*t[{w}]")
+    assert format_koszul({}) == "0"
+    table = compute_tor(data_cstar2(), CoefficientRing.rationals())
+    printed = {
+        (-2, Fraction(1, 2)): "-2 g(-1,4;0) + 1/2 g(-1,4;1)",
+        (Fraction(1, 2), -2): "1/2 g(-1,4;0) - 2 g(-1,4;1)",
+        (1, -1): "g(-1,4;0) - g(-1,4;1)",
+        (-1, 1): "-g(-1,4;0) + g(-1,4;1)",
+        (0, Fraction(-3, 2)): "-3/2 g(-1,4;1)",
+        (0, 0): "0",
+    }
+    for coords, text in printed.items():
+        assert format_class(CohomologyClass(table, 3, coords)) == text
+    assert cli._poincare({0: 1, 2: 3, 1: 1}) == "1 + t + 3 t^2"
+    assert cli._poincare({}) == "0"
+    rc, out, _ = run_cli(capsys, "tor", docs["cstar2"],
+                         "--max-total-degree", "0")
+    assert rc == 0
+    assert "\nbetti: 1\n" in out
