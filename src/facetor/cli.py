@@ -21,7 +21,7 @@ from .documents import DocumentError, data_document, dump_document, \
     load_document, parse_data_document, parse_morphism_document
 from .examples import example_names, run_example
 from .exactalg import CoefficientRing
-from .facering import format_element
+from .facering import format_element, format_sum
 from .koszul import compute_q
 from .simplicial import same_data
 from .torcohomology import compare_products, compute_tor, format_class, \
@@ -154,14 +154,9 @@ def _grid_lines(ranks, torsion):
 
 
 def _poincare(totals):
-    terms = []
-    for d, r in sorted(totals.items()):
-        if d == 0:
-            terms.append(str(r))
-        else:
-            power = "t" if d == 1 else "t^%d" % d
-            terms.append(power if r == 1 else "%d %s" % (r, power))
-    return " + ".join(terms) if terms else "0"
+    return format_sum(((r, "t^%d" % d if d > 1 else "t" if d else "")
+                       for d, r in sorted(totals.items())),
+                      times=" ", spaced=True)
 
 
 def _torsion_by_total(torsion):

@@ -57,27 +57,33 @@ def format_monomial(mono):
                     for e, i in mono)
 
 
+def format_sum(terms, times="*", spaced=False):
+    """The sum of c * text over the (c, text) pairs of terms, in order;
+    text "" stands for 1.  Zero terms and unit coefficients are left out,
+    constants printed bare, and each later term is joined by its sign,
+    with a space on both sides when spaced.  The empty sum is "0"."""
+    sep = " " if spaced else ""
+    out = []
+    for c, text in terms:
+        if not c:
+            continue
+        if not text:
+            term = str(abs(c))
+        elif abs(c) == 1:
+            term = text
+        else:
+            term = "%s%s%s" % (abs(c), times, text)
+        if out:
+            out.append(("-" if c < 0 else "+") + sep + term)
+        else:
+            out.append("-" + term if c < 0 else term)
+    return sep.join(out) or "0"
+
+
 def format_element(f):
     """Deterministic human-readable form of a face-ring element."""
-    if not f:
-        return "0"
-    parts = []
-    for mono in sorted(f, key=lambda m: (len(m), m)):
-        c = f[mono]
-        txt = format_monomial(mono)
-        if c == 1 and mono:
-            term = txt
-        elif c == -1 and mono:
-            term = "-" + txt
-        elif mono:
-            term = "%s*%s" % (c, txt)
-        else:
-            term = "%s" % (c,)
-        if parts and not term.startswith("-"):
-            parts.append("+" + term)
-        else:
-            parts.append(term)
-    return "".join(parts)
+    return format_sum((f[mono], format_monomial(mono) if mono else "")
+                      for mono in sorted(f, key=lambda m: (len(m), m)))
 
 
 def convert_element(f, ring):
@@ -175,7 +181,7 @@ class FaceRing:
             p = self.poset
             vs, vt = p.vertex_set[s], p.vertex_set[t]
             uppers = tuple(rho for rho in p.by_rank.get(len(vs | vt), ())
-                           if s in p.below[rho] and t in p.below[rho])
+                           if p.le(s, rho) and p.le(t, rho))
             meet = ()
             if uppers:
                 m = p.face_map[uppers[0]][vs & vt]

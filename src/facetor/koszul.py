@@ -30,7 +30,7 @@ from itertools import combinations
 
 from .exactalg import CoefficientRing
 from .facering import FaceRing, convert_element, format_monomial, \
-    monomial_degree
+    format_sum, monomial_degree
 
 _ZZ = CoefficientRing.integers()
 
@@ -57,30 +57,13 @@ def element_total_degree(poset, z):
 
 def format_koszul(z):
     """Deterministic human-readable form, terms ordered by (S, mono)."""
-    if not z:
-        return "0"
-    parts = []
+    terms = []
     for S, mono in sorted(z, key=lambda key: (len(key[0]), key)):
-        c = z[(S, mono)]
-        bits = []
-        if S:
-            bits.append("".join("a[%d]" % i for i in S))
+        bits = ["".join("a[%d]" % i for i in S)] if S else []
         if mono:
             bits.append(format_monomial(mono))
-        txt = "*".join(bits) if bits else "1"
-        if c == 1 and bits:
-            term = txt
-        elif c == -1 and bits:
-            term = "-" + txt
-        elif bits:
-            term = "%s*%s" % (c, txt)
-        else:
-            term = "%s" % (c,)
-        if parts and not term.startswith("-"):
-            parts.append("+" + term)
-        else:
-            parts.append(term)
-    return "".join(parts)
+        terms.append((z[S, mono], "*".join(bits)))
+    return format_sum(terms)
 
 
 def _add_term(out, key, c, modulus):

@@ -18,11 +18,22 @@ from .exactalg import CoefficientRing, ExactMatrix
 _ZZ = CoefficientRing.integers()
 
 
+def _integer(x, what, *args):
+    """x as an int; ValueError naming what % args when x is not an
+    integer, where int(x) alone would truncate 1.9 or 3/2 and parse "1"."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError("%s is not an integer: %r" % (what % args, x))
+
+
 class SimplicialPoset:
     """Finite simplicial poset with explicit elements and cover relations."""
 
     __slots__ = ("vertices", "vertex_pos", "elements", "vertex_set", "vkey",
-                 "covers", "below", "face_map", "bottom", "maximal",
+                 "covers", "face_map", "bottom", "maximal",
                  "is_complex", "by_rank", "atom")
 
     def __init__(self, items, vertices=None):
@@ -85,23 +96,15 @@ class SimplicialPoset:
                 if not self.vertex_set[c] < self.vertex_set[e]:
                     raise ValueError("cover %r of %r is not a vertex subset" % (c, e))
 
-        self.below = {}
-        for e in order:  # order is by rank, so covers are already done
-            down = {e}
-            for c in self.covers[e]:
-                down.update(self.below[c])
-            self.below[e] = frozenset(down)
-
         self.face_map = {}
-        for e in order:
-            fm = {}
-            for f in self.below[e]:
-                key = self.vertex_set[f]
-                if key in fm:
-                    raise ValueError(
-                        "interval below %r is not Boolean: %r and %r share "
-                        "vertex set" % (e, fm[key], f))
-                fm[key] = f
+        for e in order:  # order is by rank, so covers are already done
+            fm = {self.vertex_set[e]: e}
+            for c in self.covers[e]:
+                for key, f in self.face_map[c].items():
+                    if fm.setdefault(key, f) != f:
+                        raise ValueError(
+                            "interval below %r is not Boolean: %r and %r "
+                            "share vertex set" % (e, fm[key], f))
             if len(fm) != 1 << len(self.vertex_set[e]):
                 raise ValueError("interval below %r is not Boolean" % e)
             self.face_map[e] = fm
@@ -157,7 +160,7 @@ class SimplicialPoset:
         return len(self.vkey[e])
 
     def le(self, a, b):
-        return a in self.below[b]
+        return self.face_map[b].get(self.vertex_set[a]) == a
 
     def full_subcomplex(self, w):
         """Subposet of all elements whose vertex set lies inside w."""
@@ -238,8 +241,10 @@ class CharacteristicData:
         self.vertices = tuple(str(v) for v in vertices)
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
         self.ghosts = frozenset(self.vertices) - set(poset.vertices)
-        self.chi = {str(v): tuple(int(x) for x in col) for v, col in chi.items()}
-        self.n = int(n)
+        self.chi = {str(v): tuple(
+            _integer(x, "entry %d of chi[%r]", i, str(v))
+            for i, x in enumerate(col)) for v, col in chi.items()}
+        self.n = _integer(n, "lattice rank")
         self.name = name
 
     @classmethod
@@ -260,7 +265,9 @@ class CharacteristicData:
         Vertex ids are "r0", "r1", ... in ray order; ghost_rays are indices
         of rays belonging to no cone.
         """
-        rays = [tuple(int(x) for x in ray) for ray in rays]
+        rays = [tuple(_integer(x, "entry %d of ray %d", i, r)
+                      for i, x in enumerate(ray))
+                for r, ray in enumerate(rays)]
         if rays:
             n = len(rays[0])
             if any(len(r) != n for r in rays):

@@ -72,7 +72,7 @@ from itertools import combinations
 from math import comb, gcd
 
 from .exactalg import CoefficientRing, ExactMatrix
-from .facering import FaceRing
+from .facering import FaceRing, format_sum
 from .koszul import (_add_term, bidegree, bidegree_basis, compute_q,
                      differential, element_total_degree, integer_column,
                      monomial_degree, star_product, wedge_product)
@@ -786,24 +786,9 @@ def generator_name(gid):
 def format_class(cls):
     """Deterministic linear combination of generator names."""
     gens = cls.table.layout(cls.total).generators
-    parts = []
-    for g, c in zip(gens, cls.coords):
-        if not c:
-            continue
-        name = generator_name(g.gid)
-        if c == 1:
-            term = name
-        elif c == -1:
-            term = "-" + name
-        else:
-            term = "%s %s" % (c, name)
-        if parts and not term.startswith("-"):
-            parts.append("+ " + term)
-        elif parts:
-            parts.append("- " + term[1:])
-        else:
-            parts.append(term)
-    return " ".join(parts) if parts else "0"
+    return format_sum(((c, generator_name(g.gid))
+                       for g, c in zip(gens, cls.coords)),
+                      times=" ", spaced=True)
 
 
 def _combination(table, total, terms):

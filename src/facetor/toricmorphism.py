@@ -13,7 +13,8 @@ from .exactalg import CoefficientRing, ExactMatrix
 from .facering import FaceRing, FaceRingMap, convert_element
 from .koszul import (TwistData, _add_term, compute_q, double_contract,
                      star_product, wedge_product)
-from .simplicial import CharacteristicData, same_data as _same_data
+from .simplicial import CharacteristicData, _integer, \
+    same_data as _same_data
 from .torcohomology import CohomologyClass, _combination
 
 _ZZ = CoefficientRing.integers()
@@ -32,7 +33,9 @@ class ToricMorphism:
     def __init__(self, source, target, A, nu, name=""):
         self.source = source
         self.target = target
-        self.A = tuple(tuple(int(x) for x in row) for row in A)
+        self.A = tuple(tuple(_integer(x, "matrix entry A[%d][%d]", i, j)
+                             for j, x in enumerate(row))
+                       for i, row in enumerate(A))
         if len(self.A) != target.n or any(len(row) != source.n
                                           for row in self.A):
             raise ValueError("matrix must be %d x %d, got %d x %d"
@@ -122,8 +125,10 @@ class Lift:
 
     def __init__(self, phi, columns):
         self.phi = phi
-        self.columns = {vp: {v: int(c) for v, c in col.items() if c}
-                        for vp, col in columns.items()}
+        self.columns = {
+            vp: {v: _integer(c, "lift column of %r at %r", vp, v)
+                 for v, c in col.items() if c}
+            for vp, col in columns.items()}
 
     def entry(self, v, vp):
         return self.columns.get(vp, {}).get(v, 0)
@@ -177,7 +182,8 @@ def lift(phi, ghost_shift=None):
                                  % (vp,))
             col = dict(col)
             for v, c in shift.items():
-                col[v] = col.get(v, 0) + int(c)
+                col[v] = col.get(v, 0) + _integer(
+                    c, "ghost shift of %r at %r", vp, v)
             total = [0] * tgt.n
             for v, c in col.items():
                 for i, x in enumerate(tgt.chi[v]):
@@ -204,7 +210,7 @@ def hat_q(phi, lft=None):
     nothing, so the output never depends on ghost column choices.
     """
     if lft is None:
-        lft = _cached_lift(phi)
+        lft = _memo(phi, "lift", lift)
     tgt = phi.target
     n = tgt.n
     q = {}
@@ -231,16 +237,11 @@ def hat_q(phi, lft=None):
     return TwistData(n, q)
 
 
-def _cached_lift(phi):
-    if "lift" not in phi._cache:
-        phi._cache["lift"] = lift(phi)
-    return phi._cache["lift"]
-
-
-def _cached_hat_q(phi):
-    if "hatq" not in phi._cache:
-        phi._cache["hatq"] = hat_q(phi, _cached_lift(phi))
-    return phi._cache["hatq"]
+def _memo(phi, key, build):
+    """phi's value under key, built by build(phi) on first use."""
+    if key not in phi._cache:
+        phi._cache[key] = build(phi)
+    return phi._cache[key]
 
 
 class _ChainMaps:
@@ -254,7 +255,7 @@ class _ChainMaps:
         self.ring = ring
         self.face = FaceRing(phi.source.poset)
         self.twist = compute_q(phi.source)
-        lft = _cached_lift(phi)
+        lft = _memo(phi, "lift", lift)
         columns = {vp: lft.columns[vp] for vp in phi.source.poset.vertices}
         self.ringmap = FaceRingMap(FaceRing(phi.target.poset), self.face,
                                    phi.nu, columns)
@@ -267,7 +268,7 @@ class _ChainMaps:
                     row[((j,), ())] = ring.convert(a)
             self.rows[i] = row
         self.hatq = {pair: convert_element(val, ring)
-                     for pair, val in _cached_hat_q(phi).q.items()}
+                     for pair, val in _memo(phi, "hatq", hat_q).q.items()}
         self._words = {}
         self._fimage = {}
 
@@ -345,10 +346,7 @@ def _add_product(out, w, element, face, ring):
 
 
 def _chain_maps(phi, ring):
-    key = ("maps", ring)
-    if key not in phi._cache:
-        phi._cache[key] = _ChainMaps(phi, ring)
-    return phi._cache[key]
+    return _memo(phi, ("maps", ring), lambda phi: _ChainMaps(phi, ring))
 
 
 def xi(phi, z, ring):

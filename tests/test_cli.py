@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -990,3 +993,31 @@ def test_printed_sums_frozen(capsys, docs):
                          "--max-total-degree", "0")
     assert rc == 0
     assert "\nbetti: 1\n" in out
+
+
+def test_poset_error_does_not_depend_on_the_hash_seed(tmp_path):
+    # 't' covers two edges on the same vertices; the clash is named in the
+    # order of the covers, not in the iteration order of a set of ids
+    chi = {"a": [1, 0, 0], "b": [0, 1, 0], "c": [0, 0, 1]}
+    path = write(tmp_path, "clash.json", {
+        "name": "clash", "lattice_rank": 3,
+        "vertices": [{"id": v, "chi": x} for v, x in chi.items()],
+        "elements": [
+            {"id": "0", "vertices": [], "covers": []},
+            {"id": "A", "vertices": ["a"], "covers": ["0"]},
+            {"id": "B", "vertices": ["b"], "covers": ["0"]},
+            {"id": "C", "vertices": ["c"], "covers": ["0"]},
+            {"id": "e1", "vertices": ["a", "b"], "covers": ["A", "B"]},
+            {"id": "e2", "vertices": ["a", "b"], "covers": ["A", "B"]},
+            {"id": "f", "vertices": ["a", "c"], "covers": ["A", "C"]},
+            {"id": "t", "vertices": ["a", "b", "c"],
+             "covers": ["e1", "e2", "f"]}]})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    runs = [subprocess.run(
+        [sys.executable, "-m", "facetor.cli", "validate", path],
+        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60) for seed in ("1", "2")]
+    assert [run.returncode for run in runs] == [2, 2]
+    assert runs[0].stderr == runs[1].stderr == (
+        "error: %s.elements: interval below 't' is not Boolean: 'e1' and "
+        "'e2' share vertex set\n" % path)

@@ -642,3 +642,34 @@ def test_mac_rotation_is_isomorphism():
         cols = [{i: x for i, x in enumerate(r) if x} for r in rows]
         assert ExactMatrix.from_columns(cols, len(rows), QQ).rank() \
             == len(rows)
+
+
+def test_constructors_reject_non_integral_values():
+    # int() alone would truncate 1.9 and 3/2 to 1 and parse "1", and the
+    # engine would then compute another space with no error
+    poset = SimplicialPoset.from_facets([["v"], ["w"]])
+    for bad in (1.9, Fraction(3, 2), "1"):
+        with pytest.raises(ValueError, match=r"entry 0 of chi\['v'\] is not "
+                           "an integer"):
+            CharacteristicData(poset, ["v", "w"], {"v": (bad, 0),
+                                                   "w": (0, 1)}, 2)
+    with pytest.raises(ValueError, match="lattice rank is not an integer"):
+        CharacteristicData(poset, ["v", "w"], {"v": (1, 0), "w": (0, 1)}, 2.5)
+    with pytest.raises(ValueError, match="entry 1 of ray 1 is not an integer"):
+        CharacteristicData.from_fan([(1, 0), (0, 1.5)], [[0, 1]])
+    data = CharacteristicData(poset, ["v", "w"], {"v": (1.0, 0),
+                                                  "w": (0, Fraction(1))}, 2)
+    assert data.chi == {"v": (1, 0), "w": (0, 1)}
+    cp1 = CharacteristicData.from_fan([(1,), (-1,)], [[0], [1]])
+    nu = {e: e for e in cp1.poset.elements}
+    with pytest.raises(ValueError, match=r"matrix entry A\[0\]\[0\] is not "
+                       r"an integer: 2\.7"):
+        ToricMorphism(cp1, cp1, [[2.7]], nu)
+    phi = ToricMorphism(cp1, cp1, [[1]], nu)
+    with pytest.raises(ValueError, match="lift column of 'r0' at 'r0' is not "
+                       "an integer"):
+        Lift(phi, {"r0": {"r0": Fraction(1, 2)}})
+    p2 = power_morphism(cstar2_data(), 2)
+    with pytest.raises(ValueError, match="ghost shift of 'g1' at 'v' is not "
+                       "an integer"):
+        lift(p2, ghost_shift={"g1": {"v": 0.5, "w": 0.5}})
