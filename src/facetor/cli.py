@@ -153,10 +153,13 @@ def _grid_lines(ranks, torsion):
     return out
 
 
+def _power(d):
+    return "" if d == 0 else "t" if d == 1 else "t^%d" % d
+
+
 def _poincare(totals):
-    return format_sum(((r, "t^%d" % d if d > 1 else "t" if d else "")
-                       for d, r in sorted(totals.items())),
-                      times=" ", spaced=True)
+    return format_sum(((r, _power(d)) for d, r in sorted(totals.items())),
+                      spaced=True)
 
 
 def _torsion_by_total(torsion):

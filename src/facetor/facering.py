@@ -57,12 +57,13 @@ def format_monomial(mono):
                     for e, i in mono)
 
 
-def format_sum(terms, times="*", spaced=False):
+def format_sum(terms, spaced=False):
     """The sum of c * text over the (c, text) pairs of terms, in order;
     text "" stands for 1.  Zero terms and unit coefficients are left out,
-    constants printed bare, and each later term is joined by its sign,
-    with a space on both sides when spaced.  The empty sum is "0"."""
+    constants printed bare, and each later term is joined by its sign:
+    2*t[a]-t[b] unspaced, 2 g - g' spaced.  The empty sum is "0"."""
     sep = " " if spaced else ""
+    times = sep or "*"
     out = []
     for c, text in terms:
         if not c:

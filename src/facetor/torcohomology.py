@@ -788,7 +788,7 @@ def format_class(cls):
     gens = cls.table.layout(cls.total).generators
     return format_sum(((c, generator_name(g.gid))
                        for g, c in zip(gens, cls.coords)),
-                      times=" ", spaced=True)
+                      spaced=True)
 
 
 def _combination(table, total, terms):
