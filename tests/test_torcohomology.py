@@ -1,13 +1,14 @@
 import gc
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
-from facetor import exactalg, torcohomology
+from facetor import examples, exactalg, torcohomology
 from facetor.documents import parse_data_document
 from facetor.exactalg import CoefficientRing, ExactMatrix
 from facetor.facering import FaceRing, convert_element
@@ -739,6 +740,31 @@ def test_reduce_rejects_keys_outside_the_basis():
         table.reduce(unordered)
     with pytest.raises(ValueError, match="does not lie"):
         table.multidegree_block((-1, 8), (2, 1, 0, 0))
+
+
+def test_reduce_and_witness_rejections_are_value_errors():
+    # a ghost-only squarefree table, where an exterior index above the
+    # vertex count names no multidegree, and a table without multidegree
+    # blocks; each input raises exactly this ValueError
+    ghost = compute_tor(CharacteristicData(
+        SimplicialPoset([("{}", (), ())]), ["g"], {"g": (1,)}, 1), QQ)
+    assert ghost.squarefree
+    whole = compute_tor(examples.data_cstar2(), ZZ)
+    assert not whole.squarefree
+    for table, z, message in (
+            (ghost, {((1, 2), ()): 1}, "no basis at bidegree (-2, 4)"),
+            (ghost, {((2,), ()): 1},
+             "element key outside the bidegree basis at (-1, 2)"),
+            (ghost, {((1, 1), ()): 1}, "no basis at bidegree (-2, 4)"),
+            (whole, {((1, 1), ()): 1},
+             "element key outside the bidegree basis at (-2, 4)"),
+            (whole, {((), (("{v}", 1), ("{w}", 1))): 1},
+             "element key outside the bidegree basis at (0, 4)")):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            table.reduce(z)
+    with pytest.raises(ValueError,
+                       match="^class is not zero; no witness exists$"):
+        ghost.coboundary_witness({((1,), ()): 1})
 
 
 def reduce_by_block_walk(table, z):
