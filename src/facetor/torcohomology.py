@@ -28,7 +28,7 @@ from simplicial posets", for posets), so those blocks carry no
 cohomology.  With any other chi each bidegree is solved whole, as the one
 block of the trivial multidegree ().  The table decides this grading in
 one place: it lists the multidegrees built in an internal degree, the
-keys of a block, and the multidegree of a key, and compute_tor,
+keys of a block, and the multidegree of a key, and compute_tor, reduce,
 multidegree_block and coboundary_witness read only these.
 
 Two more cuts build no block that topology proves zero.  The table is the
@@ -39,18 +39,20 @@ keeps its entry, with no blocks (the dimension cut, for every chi).  On a
 complex with identity chi a multidegree W whose full subcomplex K_W is a
 cone is contractible, so all its blocks are zero (the cone cut); posets
 keep those blocks, since a digon passes the same test yet is a circle.
-One rule covers every key outside the built blocks: reduce gives a basis
-key there zero coordinates after the cocycle check.  compute_tor records
-every block it builds in the table's block store, and coboundary_witness
-reaches each block that holds a key of its element, built or not,
-through multidegree_block, which builds a missing one on demand.
+compute_tor records every block it builds in the table's block store,
+and every reader finds the block of a key there, under the key's
+multidegree.  One rule covers every key outside the built blocks: reduce
+gives a basis key there zero coordinates after the cocycle check, and
+coboundary_witness reaches each block that holds a key of its element,
+built or not, through multidegree_block, which builds a missing one on
+demand.
 
 Classes are coordinate vectors over the representatives of one total
 degree, free coordinates first and torsion coordinates reduced mod their
 invariants; the layout of a total degree lists its generators once, in
-coordinate order, for every reader of coordinates.  reduce finds the
-blocks that hold an element's keys through an index per entry, and the
-zero class of each total degree is built once.  One routine, _product,
+coordinate order, for every reader of coordinates, and each block keeps
+the offset of its generators within its entry.  The zero class of each
+total degree is built once.  One routine, _product,
 builds and reduces a product of two representatives, except in a total
 degree that holds no generator over the table's ring: such a product
 can only be zero, and it is the zero class without being built.  The
@@ -132,7 +134,7 @@ class _Block:
     cokernel and builds its image only on demand (image)."""
 
     __slots__ = ("keys", "index", "kernel_by_col", "kernel_cols", "coker",
-                 "incoming", "_image", "modulus", "rank", "units")
+                 "incoming", "_image", "modulus", "rank", "units", "offset")
 
     def __init__(self, ring, keys, out_index, incoming, dvec):
         # dvec(key) is the differential of a key, with ring or integer
@@ -164,6 +166,7 @@ class _Block:
         self.incoming = incoming
         self._image = None
         self.coker = None
+        self.offset = None  # of its generators in the entry, set by TorEntry
 
     def finish(self, ring, dvec, acyclic=False):
         """Set the cokernel: the shared zero one for an acyclic block, else
@@ -233,18 +236,17 @@ class _Block:
 class TorEntry:
     """Cohomology of one bidegree: rank, torsion, and representatives."""
 
-    __slots__ = ("bidegree", "blocks", "free_rank", "torsion", "generators",
-                 "_key_index")
+    __slots__ = ("bidegree", "blocks", "free_rank", "torsion", "generators")
 
     def __init__(self, bidegree, blocks):
         self.bidegree = bidegree
         self.blocks = blocks
-        self._key_index = None
         self.free_rank = sum(b.coker.free_rank for b in blocks)
         self.torsion = _canonical_invariants(
             [d for b in blocks for d in b.coker.torsion])
         gens = []
         for b in blocks:
+            b.offset = len(gens)
             for y in b.coker.free_generators:
                 gens.append((b.element_of(y), 0))
             for y, d in zip(b.coker.torsion_generators, b.coker.torsion):
@@ -254,33 +256,6 @@ class TorEntry:
     @property
     def size(self):
         return len(self.generators)
-
-    def key_index(self):
-        """({key: (block number, position in the block)} over the keys of
-        every block, the offset of each block's generators), built on
-        first use."""
-        if self._key_index is None:
-            offsets = []
-            offset = 0
-            for block in self.blocks:
-                offsets.append(offset)
-                offset += block.size
-            self._key_index = ({key: (b, i)
-                                for b, block in enumerate(self.blocks)
-                                for key, i in block.index.items()},
-                               offsets)
-        return self._key_index
-
-    def local_parts(self, comp):
-        """{block number: {position: coefficient}} over the blocks that
-        hold keys of comp, found through the key index."""
-        index = self.key_index()[0]
-        parts = {}
-        for key, c in comp.items():
-            found = index.get(key)
-            if found is not None:
-                parts.setdefault(found[0], {})[found[1]] = c
-        return parts
 
     def __repr__(self):
         return "TorEntry(%r, rank=%d, torsion=%s)" % (
@@ -543,25 +518,24 @@ class TorTable:
         coords = [0] * layout.size
         offsets = {bd: offset for bd, offset, _ in layout.parts}
         for bd, comp in self._components(z).items():
-            entry = self.entries.get(bd)
-            if entry is None:
+            if bd not in self.entries:
                 raise ValueError("no basis at bidegree %r" % (bd,))
-            touched = entry.local_parts(comp)
-            block_offsets = entry.key_index()[1]
-            for b, w_local in touched.items():
-                block = entry.blocks[b]
-                if not block.size:
-                    continue
-                pos = offsets[bd] + block_offsets[b]
-                free, tors = block.coker.project(
-                    block.kernel_coords(self.ring, w_local))
-                coords[pos:pos + block.size] = free + tors
-            seen = sum(len(w_local) for w_local in touched.values())
-            # a basis key outside every built block lies in a zero block
-            if seen != len(comp) and not all(self._is_basis_key(key)
-                                             for key in comp):
+            if not all(self._is_basis_key(key) for key in comp):
                 raise ValueError("element key outside the bidegree basis "
                                  "at %r" % (bd,))
+            parts = {}
+            for key, c in comp.items():
+                mu = self._key_multidegree(key)
+                parts.setdefault(self._blocks.get((bd, mu)), {})[key] = c
+            for block, part in parts.items():
+                # a basis key outside every stored block lies in a zero
+                # block, as does one of a block built on demand
+                if block is None or not block.size:
+                    continue
+                pos = offsets[bd] + block.offset
+                free, tors = block.coker.project(
+                    block.kernel_coords(self.ring, block.local(part)))
+                coords[pos:pos + block.size] = free + tors
         return CohomologyClass(self, ztotal, tuple(coords))
 
     def coboundary_witness(self, z):
