@@ -953,6 +953,94 @@ def test_fan_ray_in_no_cone_must_be_a_ghost(capsys, tmp_path):
         "rank 2, 4 poset elements)\n", "")
 
 
+def _edited(doc, path, value):
+    """A deep copy of a document tree with the value at path (a tuple of
+    keys and indices) replaced, or the key removed when value is _DROP."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+_DROP = object()
+_DATA = {"name": "edge", "lattice_rank": 2,
+         "vertices": [{"id": "a", "chi": [1, 0]}, {"id": "b", "chi": [0, 1]}],
+         "facets": [["a", "b"]]}
+_ELEMENTS = [{"id": "A", "vertices": ["a"], "covers": []},
+             {"id": "A", "vertices": ["b"], "covers": []}]
+_FAN = {"name": "cp1", "fan": {"rays": [[1], [-1]], "cones": [[0], [1]]}}
+_MORPHISM = morphism_document(basis_change_morphism())
+
+# each document rejection no other test reaches: (document, suffix of the
+# error line after the file path); a morphism runs against the rebased and
+# the plain cstar2 data
+DOCUMENT_ERRORS = {
+    "not an object": ([], ": expected an object"),
+    "unknown key": (dict(_DATA, colour=1), ": unknown keys 'colour'"),
+    "missing chi": (_edited(_DATA, ("vertices", 0, "chi"), _DROP),
+                    ".vertices[0]: missing key 'chi'"),
+    "vertices not an array": (dict(_DATA, vertices={}),
+                              ".vertices: expected an array"),
+    "rank not an integer": (dict(_DATA, lattice_rank="2"),
+                            ".lattice_rank: expected an integer"),
+    "empty id": (_edited(_DATA, ("vertices", 0, "id"), ""),
+                 ".vertices[0].id: empty id"),
+    "duplicate vertex": (_edited(_DATA, ("vertices", 1, "id"), "a"),
+                         ".vertices[1].id: duplicate vertex id 'a'"),
+    "short chi": (_edited(_DATA, ("vertices", 1, "chi"), [0]),
+                  ".vertices[1].chi: expected 2 entries, got 1"),
+    "ghost not a boolean": (_edited(_DATA, ("vertices", 0, "ghost"), 1),
+                            ".vertices[0].ghost: expected a boolean"),
+    "duplicate element": (
+        dict(_edited(_DATA, ("facets",), _DROP), elements=_ELEMENTS),
+        ".elements[1].id: duplicate element id 'A'"),
+    "two poset shapes": (dict(_DATA, elements=_ELEMENTS),
+                         ': need exactly one of "facets", "elements", "fan"'),
+    "poset constructor": (dict(_DATA, facets=[["a", "a"], ["b"]]),
+                          ".facets: facet ('a', 'a') repeats a vertex"),
+    "rank with a fan": (dict(_FAN, lattice_rank=1),
+                        ".lattice_rank: not allowed with a fan"),
+    "fan constructor": (_edited(_FAN, ("fan", "cones"), [[0], [1], [2]]),
+                        ".fan: cone ray index 2 out of range"),
+    "no vertices": (_edited(_DATA, ("vertices",), _DROP),
+                    ": missing key 'vertices'"),
+    "negative rank": (dict(_DATA, lattice_rank=-1),
+                      ".lattice_rank: expected a nonnegative integer"),
+    "target name": (dict(_MORPHISM, target="cp1"),
+                    ".target: document names 'cp1' but the target data is "
+                    "'cstar2-p1'"),
+    "matrix rows": (_edited(_MORPHISM, ("matrix",), [[1, 0, 1]]),
+                    ".matrix: expected 3 rows (target lattice rank), got 1"),
+    "matrix row length": (
+        _edited(_MORPHISM, ("matrix", 1), [0, 1]),
+        ".matrix[1]: expected 3 entries (source lattice rank), got 2"),
+    "nu pair length": (_edited(_MORPHISM, ("nu", 1), ["{v}"]),
+                       ".nu[1]: expected a [source element, target element] "
+                       "pair"),
+    "unknown source element": (_edited(_MORPHISM, ("nu", 1, 0), "{x}"),
+                               ".nu[1][0]: unknown source element '{x}'"),
+    "unknown target element": (_edited(_MORPHISM, ("nu", 1, 1), "{x}"),
+                               ".nu[1][1]: unknown target element '{x}'"),
+    "repeated source element": (_edited(_MORPHISM, ("nu", 2, 0), "{v}"),
+                                ".nu[2][0]: repeated source element '{v}'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOCUMENT_ERRORS))
+def test_document_errors_frozen(capsys, tmp_path, docs, case):
+    doc, suffix = DOCUMENT_ERRORS[case]
+    path = write(tmp_path, "doc.json", doc)
+    is_morphism = isinstance(doc, dict) and "matrix" in doc
+    files = [docs["rebased"], docs["cstar2"], path] if is_morphism else [path]
+    assert run_cli(capsys, "validate", *files) == (
+        2, "", "error: %s%s\n" % (path, suffix))
+
+
 def test_printed_sums_frozen(capsys, docs):
     # every printer of a signed sum: non-unit negative coefficients spaced
     # and unspaced, QQ fractions, constants, zero coordinates, the empty sum
