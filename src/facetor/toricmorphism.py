@@ -162,10 +162,8 @@ def lift(phi, ghost_shift=None):
     for vp in src.vertices:
         b = phi.apply_lattice(src.chi[vp])
         if vp not in src.ghosts:
+            # ensure_valid checked this solve is nonnegative
             col = phi._carrier_solve(phi.nu[src.poset.atom[vp]], b)
-            if col is None or any(c < 0 for c in col.values()):
-                raise ValueError("morphism has no nonnegative lift at %r"
-                                 % (vp,))
         elif vp in tgt.vertex_index and tgt.chi[vp] == b:
             col = {vp: 1}
         else:

@@ -1,10 +1,15 @@
-"""The runtime of facetor imports only the standard library and itself."""
+"""The runtime of facetor imports only the standard library and itself,
+and the tests use every package their extra installs."""
 
 import ast
 import pathlib
+import re
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "facetor"
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "facetor"
 
 
 def absolute_imports(path):
@@ -26,3 +31,14 @@ def test_runtime_imports_only_the_standard_library():
              for path in files for line, name in absolute_imports(path)
              if name != "facetor" and name not in sys.stdlib_module_names]
     assert stray == []
+
+
+def test_every_test_dependency_is_imported_by_a_test():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    wanted = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+              for req in extra}
+    imported = {name for path in (ROOT / "tests").glob("*.py")
+                for _, name in absolute_imports(path)}
+    assert wanted and sorted(wanted - imported) == []
