@@ -520,18 +520,18 @@ class TorTable:
         for bd, comp in self._components(z).items():
             if bd not in self.entries:
                 raise ValueError("no basis at bidegree %r" % (bd,))
-            if not all(self._is_basis_key(key) for key in comp):
-                raise ValueError("element key outside the bidegree basis "
-                                 "at %r" % (bd,))
             parts = {}
             for key, c in comp.items():
-                mu = self._key_multidegree(key)
-                parts.setdefault(self._blocks.get((bd, mu)), {})[key] = c
+                block = self._blocks.get((bd, self._key_multidegree(key)))
+                if block is None or key not in block.index:
+                    # a basis key outside every stored block lies in a
+                    # zero block
+                    if not self._is_basis_key(key):
+                        raise ValueError("element key outside the bidegree "
+                                         "basis at %r" % (bd,))
+                elif block.size:  # blocks built on demand have size 0
+                    parts.setdefault(block, {})[key] = c
             for block, part in parts.items():
-                # a basis key outside every stored block lies in a zero
-                # block, as does one of a block built on demand
-                if block is None or not block.size:
-                    continue
                 pos = offsets[bd] + block.offset
                 free, tors = block.coker.project(
                     block.kernel_coords(self.ring, block.local(part)))
@@ -643,15 +643,14 @@ class TorTable:
     def _key_multidegree(self, key):
         """The multidegree of the block that holds a key: on a squarefree
         table the exponents of (S, m) over the ambient vertices, otherwise
-        ()."""
+        ().  It reads S by membership, never as positions, so a key that
+        is no basis key gets some tuple too, and no block holds it."""
         if not self.squarefree:
             return ()
         S, mono = key
         vec = self.face.exponent_vector(mono)
-        mu = [0 if p is None else vec[p] for p in self._poset_pos]
-        for i in S:
-            mu[i - 1] += 1
-        return tuple(mu)
+        return tuple((0 if p is None else vec[p]) + (i in S)
+                     for i, p in enumerate(self._poset_pos, 1))
 
     def __repr__(self):
         return "<TorTable %s over %s, bound %d>" % (
