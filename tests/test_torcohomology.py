@@ -8,7 +8,7 @@ import pytest
 from hypothesis import (HealthCheck, assume, example, given, settings,
                         strategies as st)
 
-from facetor import examples, exactalg, torcohomology
+from facetor import exactalg, torcohomology
 from facetor.documents import parse_data_document
 from facetor.exactalg import CoefficientRing, ExactMatrix
 from facetor.facering import FaceRing, convert_element
@@ -749,7 +749,7 @@ def test_reduce_and_witness_rejections_are_value_errors():
     ghost = compute_tor(CharacteristicData(
         SimplicialPoset([("{}", (), ())]), ["g"], {"g": (1,)}, 1), QQ)
     assert ghost.squarefree
-    whole = compute_tor(examples.data_cstar2(), ZZ)
+    whole = compute_tor(cstar2_data(), ZZ)
     assert not whole.squarefree
     for table, z, message in (
             (ghost, {((1, 2), ()): 1}, "no basis at bidegree (-2, 4)"),
