@@ -435,6 +435,68 @@ SMITH_OUTPUT_DIGEST = (
     "1565f91e10750966042dabd4992947111ff50eeda37afe07a7ef978ba6093b47")
 
 
+def typed_items(vec):
+    """A sparse vector as its sorted items, each value with its type; None
+    stays None.  Sorting keeps the digest free of dict key order."""
+    if vec is None:
+        return None
+    return sorted((k, type(v).__name__, v) for k, v in vec.items())
+
+
+def typed_tuple(values):
+    return [(type(v).__name__, v) for v in values]
+
+
+def derived_output_digest():
+    """sha256 of what the readers derive from the Smith form over
+    smith_output_sample: kernel_basis, the cokernel structure with
+    project of every unit vector and of one seeded vector, solve of A x0
+    and of every unit vector, and PreparedSolver.solve of the same
+    vectors on the field matrices, each value with its type."""
+    rnd = random.Random(20261020)
+    h = hashlib.sha256()
+    for A in smith_output_sample():
+        ring, m, n = A.ring, A.nrows, A.ncols
+
+        def draw():
+            if ring == QQ:
+                return Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
+            return ring.convert(rnd.randint(-6, 6))
+
+        h.update(repr([typed_items(x) for x in A.kernel_basis()]).encode())
+        ck = A.cokernel_structure()
+        h.update(repr((ck.free_rank, typed_tuple(ck.torsion),
+                       [typed_items(g) for g in ck.free_generators],
+                       [typed_items(g) for g in ck.torsion_generators])
+                      ).encode())
+        units = [{i: ring.one()} for i in range(m)]
+        seeded = {i: v for i in range(m) for v in (draw(),) if v}
+        for w in units + [seeded]:
+            free, tors = ck.project(w)
+            h.update(repr((typed_tuple(free), typed_tuple(tors))).encode())
+        with pytest.raises(ValueError, match="^index %d out of range$" % m):
+            ck.project({m: ring.one()})
+        x0 = {j: v for j in range(n) for v in (draw(),) if v}
+        probes = [A.mul_vec(x0)] + units
+        h.update(repr([typed_items(A.solve(b)) for b in probes]).encode())
+        if ring.is_field:
+            ps = PreparedSolver(A)
+            h.update(repr([typed_items(ps.solve(b)) for b in probes]
+                          ).encode())
+    return h.hexdigest()
+
+
+def test_derived_outputs_are_unchanged():
+    # Pins the values and entry types that the kernel, cokernel and solve
+    # readers take from the Smith form, independently of how the form
+    # hands its transforms over.
+    assert derived_output_digest() == DERIVED_OUTPUT_DIGEST
+
+
+DERIVED_OUTPUT_DIGEST = (
+    "1fe451c626d0a03433d02c02cf744f2f4094af90ebd667d3f01080702cb9a7c4")
+
+
 # ---------------------------------------------------------------------------
 # Kernel, cokernel, solve.
 
