@@ -4,9 +4,9 @@ Vectors are dicts {index: nonzero scalar}; matrices are dicts of row dicts.
 Everything is exact: rationals are Fraction, integer arithmetic stays in int,
 and Z/p values are reduced into range(p) after every operation.  The Smith
 normal form is the one elimination kernel: it tracks the row and column
-transforms together with their inverses, which is what the cohomology
-reducers downstream consume, and PreparedSolver, rank, kernels, cokernels
-and solve are all built on it.
+transforms and their inverses, keeps each in the layout it builds it in
+(U and Vinv by rows, Uinv and V by columns), and rank, kernels, cokernels
+and SmithForm.solve, the one solve routine, read that layout as it is.
 
 Inside the Smith kernel a rational entry whose denominator is 1 is held as
 an int, normalised on every write, so that integral work (the usual case:
@@ -242,14 +242,6 @@ class ExactMatrix:
     def column(self, j):
         return {i: row[j] for i, row in self.rows.items() if j in row}
 
-    def columns(self):
-        """All nonzero columns as {col: {row: value}} in one pass."""
-        out = {}
-        for i, row in self.rows.items():
-            for j, v in row.items():
-                out.setdefault(j, {})[i] = v
-        return out
-
     def mul_vec(self, x):
         """Matrix times sparse column vector: (A x) as a sparse dict."""
         mod = self.ring.modulus
@@ -324,8 +316,7 @@ class ExactMatrix:
     def kernel_basis(self):
         """Basis of {x : A x = 0}; over ZZ it spans the saturated kernel."""
         sf = self.smith_normal_form(want=("V",))
-        cols = sf.V.columns()
-        return [cols.get(t, {}) for t in range(sf.rank, self.ncols)]
+        return sf.v_cols[sf.rank:]
 
     def cokernel_structure(self):
         """Structure of R^nrows / (column span of A)."""
@@ -338,38 +329,44 @@ class ExactMatrix:
         Over ZZ, None means no integral solution.  Index out of range
         raises ValueError (a malformed call, not an unsolvable system).
         """
-        for i in b:
-            if not (0 <= i < self.nrows):
-                raise ValueError("row index %r out of range" % (i,))
-        sf = self.smith_normal_form(want=("U", "V"))
-        y = sf.U.mul_vec(b)
-        r = sf.rank
-        z = {}
-        for i, yi in y.items():
-            if i >= r:
-                return None
-            q = self.ring.exact_div(yi, sf.diagonal[i])
-            if q is None:
-                return None
-            if q:
-                z[i] = q
-        return sf.V.mul_vec(z)
+        return self.smith_normal_form(want=("U", "V")).solve(b)
 
 
 class SmithForm:
-    """Result of smith_normal_form: U @ A @ V == S, transforms invertible."""
+    """Result of smith_normal_form: U @ A @ V == S, transforms invertible.
 
-    __slots__ = ("nrows", "ncols", "ring", "diagonal", "U", "Uinv", "V", "Vinv")
+    Each transform stays in the slots the kernel built (None if not
+    wanted): u_rows, the rows of U; uinv_cols, the columns of Uinv; v_cols,
+    the columns of V; vinv_rows, the rows of Vinv.  The properties U, Uinv,
+    V and Vinv build their ExactMatrix on request.
+    """
 
-    def __init__(self, nrows, ncols, ring, diagonal, U, Uinv, V, Vinv):
+    __slots__ = ("nrows", "ncols", "ring", "diagonal",
+                 "u_rows", "uinv_cols", "v_cols", "vinv_rows")
+
+    def __init__(self, nrows, ncols, ring, diagonal,
+                 u_rows, uinv_cols, v_cols, vinv_rows):
         self.nrows = nrows
         self.ncols = ncols
         self.ring = ring
         self.diagonal = diagonal
-        self.U = U
-        self.Uinv = Uinv
-        self.V = V
-        self.Vinv = Vinv
+        self.u_rows = u_rows
+        self.uinv_cols = uinv_cols
+        self.v_cols = v_cols
+        self.vinv_rows = vinv_rows
+
+    U = property(lambda self: self._transform(self.u_rows, True))
+    Uinv = property(lambda self: self._transform(self.uinv_cols, False))
+    V = property(lambda self: self._transform(self.v_cols, False))
+    Vinv = property(lambda self: self._transform(self.vinv_rows, True))
+
+    def _transform(self, slots, by_rows):
+        """The ExactMatrix of a transform kept as its rows or its columns."""
+        if slots is None:
+            return None
+        out = ExactMatrix(len(slots), len(slots), self.ring)
+        out.rows = {i: slot for i, slot in enumerate(slots) if slot}
+        return out if by_rows else out.transpose()
 
     @property
     def rank(self):
@@ -380,6 +377,31 @@ class SmithForm:
         for t, d in enumerate(self.diagonal):
             out.rows[t] = {t: d}
         return out
+
+    def solve(self, b):
+        """One x with A x = b, or None: the one solve routine, on a form
+        that kept U and V.  y = U b must vanish past the rank and each y_i
+        be divisible by d_i; x is the sum of y_i / d_i times V's column i."""
+        for i in b:
+            if not (0 <= i < self.nrows):
+                raise ValueError("row index %r out of range" % (i,))
+        ring, mod = self.ring, self.ring.modulus
+        x = {}
+        for i, row in enumerate(self.u_rows):
+            y = sum(row[j] * b[j] for j in row.keys() & b.keys())
+            if mod:
+                y %= mod
+            if not y:
+                continue
+            if i >= self.rank:
+                return None
+            z = ring.exact_div(y, self.diagonal[i])
+            if z is None:
+                return None
+            for k, v in self.v_cols[i].items():
+                w = x.get(k, 0) + z * v
+                x[k] = w % mod if mod else w
+        return {k: w for k, w in x.items() if w}
 
 
 class _SnfState:
@@ -671,22 +693,8 @@ def _smith(matrix, want):
             if slots is not None:
                 _fractions_in_place(slots)
 
-    def to_matrix(slots, size, by_rows):
-        """A transform from its slots: its rows, or else its columns."""
-        if slots is None:
-            return None
-        out = ExactMatrix(size, size, ring)
-        if by_rows:
-            out.rows = {i: slot for i, slot in enumerate(slots) if slot}
-        else:
-            for j, slot in enumerate(slots):
-                for i, v in slot.items():
-                    out.rows.setdefault(i, {})[j] = v
-        return out
-
     return SmithForm(m, n, ring, diagonal,
-                     to_matrix(u_rows, m, True), to_matrix(uinv_cols, m, False),
-                     to_matrix(v_cols, n, False), to_matrix(vinv_rows, n, True))
+                     u_rows, uinv_cols, v_cols, vinv_rows)
 
 
 def _fractions_in_place(slots):
@@ -705,66 +713,58 @@ def _fractions_in_place(slots):
 class CokernelStructure:
     """coker(A) = R^m / (column span of A): free part plus cyclic torsion.
 
-    Generators live in R^m; project() rewrites any vector in them, with
-    torsion coordinates reduced mod their orders.  Coordinate order is all
-    free coordinates first, then torsion.
+    Generators live in R^m, as columns of Uinv; project() rewrites any
+    vector in them through the matching rows of U, with torsion
+    coordinates reduced mod their orders.  Coordinate order is all free
+    coordinates first, then torsion.
     """
 
     __slots__ = ("ring", "free_rank", "torsion",
-                 "free_generators", "torsion_generators",
-                 "_U", "_free_rows", "_torsion_rows")
+                 "free_generators", "torsion_generators", "_nrows", "_rows")
 
     def __init__(self, sf, ring):
-        m = sf.nrows
         r = sf.rank
         self.ring = ring
-        self._U = sf.U
-        self._free_rows = list(range(r, m))
-        self._torsion_rows = [t for t in range(r) if not ring.is_unit(sf.diagonal[t])]
-        self.torsion = [sf.diagonal[t] for t in self._torsion_rows]
-        self.free_rank = m - r
-        cols = sf.Uinv.columns()
-        self.free_generators = [cols.get(i, {}) for i in self._free_rows]
-        self.torsion_generators = [cols.get(i, {}) for i in self._torsion_rows]
+        torsion_rows = [t for t in range(r) if not ring.is_unit(sf.diagonal[t])]
+        self.torsion = [sf.diagonal[t] for t in torsion_rows]
+        self.free_rank = sf.nrows - r
+        self.free_generators = sf.uinv_cols[r:]
+        self.torsion_generators = [sf.uinv_cols[t] for t in torsion_rows]
+        self._nrows = sf.nrows
+        self._rows = sf.u_rows[r:] + [sf.u_rows[t] for t in torsion_rows]
 
     def project(self, w):
         """Coordinates of w in the cokernel: (free tuple, torsion tuple)."""
         for i in w:
-            if not (0 <= i < self._U.nrows):
+            if not (0 <= i < self._nrows):
                 raise ValueError("index %r out of range" % (i,))
-        y = self._U.mul_vec(w)
-        free = tuple(y.get(i, 0) for i in self._free_rows)
-        tors = tuple(y.get(i, 0) % d
-                     for i, d in zip(self._torsion_rows, self.torsion))
-        return free, tors
+        mod = self.ring.modulus
+        y = []
+        for row in self._rows:
+            s = sum(row[j] * w[j] for j in row.keys() & w.keys())
+            y.append(s % mod if mod else s or 0)
+        f = self.free_rank
+        return tuple(y[:f]), tuple(c % d for c, d in zip(y[f:], self.torsion))
 
 
 class PreparedSolver:
     """A fixed field matrix prepared for repeated solves.
 
-    One Smith form U @ A @ V == S (S has r ones on its diagonal) gives the
-    solution matrix V[:, :r] @ U[:r, :] and the consistency rows U[r:, :].
-    solve(b) returns that matrix times b, or None when the consistency rows
-    do not annihilate b.  With full column rank the solution is unique.
+    The Smith form U @ A @ V == S is computed once, keeping U by rows and
+    V by columns; solve(b) runs SmithForm.solve on it, the routine that
+    ExactMatrix.solve runs.  With full column rank the solution is unique.
     Only the face ring's restriction oracle (FaceRing._degree_system)
     builds one.
     """
 
-    __slots__ = ("nrows", "ncols", "rank", "_solution", "_consistency")
+    __slots__ = ("ncols", "rank", "_sf")
 
     def __init__(self, matrix):
         if not matrix.ring.is_field:
             raise ValueError("PreparedSolver requires a field")
-        self.nrows = m = matrix.nrows
         self.ncols = matrix.ncols
-        sf = matrix.smith_normal_form(want=("U", "V"))
-        self.rank = r = sf.rank
-        # Over a field S^T is the pseudo-inverse of S, so V @ S^T @ U is
-        # V[:, :r] @ U[:r, :].
-        self._solution = sf.V @ sf.matrix().transpose() @ sf.U
-        self._consistency = ExactMatrix(m - r, m, matrix.ring)
-        self._consistency.rows = {i - r: row for i, row in sf.U.rows.items()
-                                  if i >= r}
+        self._sf = matrix.smith_normal_form(want=("U", "V"))
+        self.rank = self._sf.rank
 
     @property
     def full_column_rank(self):
@@ -772,9 +772,4 @@ class PreparedSolver:
 
     def solve(self, b):
         """One x with A x = b, or None if inconsistent."""
-        for i in b:
-            if not (0 <= i < self.nrows):
-                raise ValueError("row index %r out of range" % (i,))
-        if self._consistency.mul_vec(b):
-            return None
-        return self._solution.mul_vec(b)
+        return self._sf.solve(b)

@@ -158,11 +158,10 @@ class _Block:
         self.units = all(ring.is_unit(d) for d in sf.diagonal)
         # the kernel rows Vinv[r:] by column: {j: [(i - r, value), ...]}
         self.kernel_by_col = {}
-        for i in range(r, len(keys)):
-            for j, a in sf.Vinv.rows.get(i, {}).items():
-                self.kernel_by_col.setdefault(j, []).append((i - r, a))
-        vcols = sf.V.columns()
-        self.kernel_cols = [vcols.get(j, {}) for j in range(r, len(keys))]
+        for i, row in enumerate(sf.vinv_rows[r:]):
+            for j, a in row.items():
+                self.kernel_by_col.setdefault(j, []).append((i, a))
+        self.kernel_cols = sf.v_cols[r:]
         self.incoming = incoming
         self._image = None
         self.coker = None
