@@ -98,9 +98,12 @@ def double_contract(S, i, j):
 
 
 def contract(x, S):
-    """iota(x) for an integer vector x: list of (coefficient, S') terms."""
+    """iota(x) for an integer vector x: list of (coefficient, S') terms.
+    An index of S outside 1..len(x) raises ValueError."""
     out = []
     for pos, idx in enumerate(S):
+        if not 1 <= idx <= len(x):
+            raise ValueError("exterior index %r outside 1..%d" % (idx, len(x)))
         c = x[idx - 1]
         if c:
             out.append((-c if pos % 2 else c, S[:pos] + S[pos + 1:]))

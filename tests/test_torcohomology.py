@@ -742,6 +742,16 @@ def test_reduce_rejects_keys_outside_the_basis():
         table.multidegree_block((-1, 8), (2, 1, 0, 0))
 
 
+def test_reduce_rejects_exterior_indices_outside_the_lattice():
+    # the cocycle check contracts each exterior index against chi, whose
+    # vectors have n = 4 entries; an index outside 1..4 names no entry
+    table = compute_tor(moment_angle(cycle_facets(4)), QQ)
+    for idx in (5, 0, -1):
+        with pytest.raises(ValueError,
+                           match="^exterior index %d outside 1..4$" % idx):
+            table.reduce({((idx,), ()): 1})
+
+
 def test_reduce_and_witness_rejections_are_value_errors():
     # a ghost-only squarefree table, where an exterior index above the
     # vertex count names no multidegree, and a table without multidegree
