@@ -474,7 +474,8 @@ class TorTable:
         return CohomologyClass._from_canonical(self, total, coords)
 
     def generator_class(self, bidegree, index):
-        if not 0 <= index < self.entries[bidegree].size:
+        entry = self.entries.get(bidegree)
+        if entry is None or not 0 <= index < entry.size:
             raise ValueError("generator index out of range")
         total = bidegree[0] + bidegree[1]
         gid = (bidegree, index)
@@ -566,6 +567,8 @@ class TorTable:
         table mu is a tuple over the ambient vertices; any other table has
         one block per bidegree, with mu = ()."""
         k, t = -bidegree[0], bidegree[1]
+        if bidegree not in self.entries:
+            raise ValueError("no basis at bidegree %r" % (bidegree,))
         if not self.squarefree:
             if mu != ():
                 raise ValueError("the blocks of a table without multidegree "

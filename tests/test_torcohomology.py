@@ -752,6 +752,17 @@ def test_reduce_rejects_exterior_indices_outside_the_lattice():
             table.reduce({((idx,), ()): 1})
 
 
+def test_table_lookups_reject_bidegrees_without_a_basis():
+    table = compute_tor(moment_angle(cycle_facets(4)), QQ)
+    with pytest.raises(ValueError, match="^generator index out of range$"):
+        table.generator_class((5, 5), 0)
+    stored = dict(table._blocks)
+    with pytest.raises(ValueError,
+                       match=re.escape("no basis at bidegree (-9, 2)")):
+        table.multidegree_block((-9, 2), (1, 0, 0, 0))
+    assert table._blocks == stored
+
+
 def test_reduce_and_witness_rejections_are_value_errors():
     # a ghost-only squarefree table, where an exterior index above the
     # vertex count names no multidegree, and a table without multidegree
