@@ -21,11 +21,17 @@ it must refresh: an operation marks the lines it changed and every
 crossing line that gained or lost an entry, and the search refreshes the
 marked rows and the rows that meet a marked column, so the pivot sequence
 is that of a full scan of the active submatrix.
+
+A form without U and Uinv (kernel forms want V and Vinv, rank forms none)
+of a matrix with no nonzero entry or one column would work on rows only:
+it returns at once, V and Vinv the identity and the diagonal empty, or
+the column's content over ZZ, 1 over a field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -657,22 +663,35 @@ def _smith(matrix, want):
     for name in want:
         if name not in ("U", "Uinv", "V", "Vinv"):
             raise ValueError("unknown transform %r" % (name,))
+    m, n = matrix.nrows, matrix.ncols
+    ring = matrix.ring
+    if "U" not in want and "Uinv" not in want and (n == 1 or not matrix.rows):
+        one = ring.one()
+        diagonal = []
+        if matrix.rows:  # one column: its content over ZZ, 1 over a field
+            diagonal = [gcd(*(row[0] for row in matrix.rows.values()))
+                        if ring.kind == "ZZ" else one]
+        v, vinv = ([{j: one} for j in range(n)] if name in want else None
+                   for name in ("V", "Vinv"))
+        return SmithForm(m, n, ring, diagonal, None, None, v, vinv)
     state = _SnfState(matrix, want)
     t = 0
     while _eliminate_at(state, t):
         t += 1
     r = t
-    if matrix.ring.kind == "ZZ":
+    if ring.kind == "ZZ":
         # Enforce the divisibility chain; each fix stays inside the 2x2
-        # block {t, s} and strictly shrinks the entry at (t, t).
+        # block {t, s} and strictly shrinks the entry at (t, t); a unit
+        # divides every later entry.
         t = 0
         while t + 1 < r:
             dt = state.rows[t][t]
             bad = None
-            for s in range(t + 1, r):
-                if state.rows[s][s] % dt:
-                    bad = s
-                    break
+            if dt != 1 and dt != -1:
+                for s in range(t + 1, r):
+                    if state.rows[s][s] % dt:
+                        bad = s
+                        break
             if bad is None:
                 t += 1
                 continue
@@ -683,8 +702,6 @@ def _smith(matrix, want):
                 state.row_scale(s, -1)
 
     diagonal = [state.rows[t][t] for t in range(r)]
-    m, n = matrix.nrows, matrix.ncols
-    ring = matrix.ring
     _, _, u_rows, uinv_cols, _, _ = state.row
     _, _, v_cols, vinv_rows, _, _ = state.col
     if ring.kind == "QQ":

@@ -8,8 +8,9 @@ chain order, the empty tuple being 1, and a ring element is a dict
 {monomial: coefficient}.  Generator t_s has degree 2 * rank(s).  The
 exponent vector of a monomial sums the exponents over the vertices of each
 element; monomials_from_exponents inverts it, with one standard monomial
-per element rho whose vertex set is the support, the chain below rho read
-off the Boolean interval face_map[rho] (zero or one on a complex).
+per element rho whose vertex set is the support (zero or one on a
+complex): chain_monomial, the chain below rho read off the Boolean
+interval face_map[rho].
 
 The structure constants a * b of two standard monomials are integers and
 do not depend on the coefficient ring, so each face ring keeps one memo
@@ -268,27 +269,29 @@ class FaceRing:
     def monomials_from_exponents(self, vec):
         """The standard monomials with exponent vector vec, in
         basis_of_degree order: one per element rho whose vertex set is the
-        support of vec, with the chain below rho read off face_map[rho]
-        (zero or one monomial on a complex)."""
+        support of vec (zero or one on a complex), each chain_monomial."""
+        supp = frozenset(v for v, x in zip(self.poset.vertices, vec) if x)
+        return tuple(self.chain_monomial(rho, vec)
+                     for rho in self._by_vset.get(supp, ()))
+
+    def chain_monomial(self, rho, vec):
+        """The standard monomial with exponent vector vec whose top element
+        is rho, an element whose vertex set is the support of vec: the
+        chain below rho read off face_map[rho]."""
         p = self.poset
-        supp = [i for i, x in enumerate(vec) if x]
-        out = []
-        for rho in self._by_vset.get(
-                frozenset(p.vertices[i] for i in supp), ()):
-            below = p.face_map[rho]
-            rest = list(vec)
-            live, e = supp, rho
-            chain = []
-            while live:
-                low = min(rest[i] for i in live)
-                chain.append((e, low))
-                for i in live:
-                    rest[i] -= low
-                live = [i for i in live if rest[i]]
-                if live:
-                    e = below[frozenset(p.vertices[i] for i in live)]
-            out.append(tuple(reversed(chain)))
-        return tuple(out)
+        below = p.face_map[rho]
+        rest = list(vec)
+        live, e = [i for i, x in enumerate(vec) if x], rho
+        chain = []
+        while live:
+            low = min(rest[i] for i in live)
+            chain.append((e, low))
+            for i in live:
+                rest[i] -= low
+            live = [i for i in live if rest[i]]
+            if live:
+                e = below[frozenset(p.vertices[i] for i in live)]
+        return tuple(reversed(chain))
 
     def multiply(self, f, g, ring):
         """Product of two elements with coefficients in ring: the bilinear

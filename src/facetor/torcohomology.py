@@ -21,7 +21,9 @@ preserves the fine multidegree, so each bidegree splits into small blocks
 that are solved independently, and only the squarefree multidegrees are
 built: a key (S, t_sigma) with the element sigma disjoint from S, grouped
 by W = S + V(sigma); several elements of a simplicial poset may share a
-vertex set, and each gives its own key.  The Koszul complex of the face
+vertex set, and each gives its own key.  The block of W is the cochain
+complex of the full subcomplex K_W, its keys read off the faces inside
+W.  The Koszul complex of the face
 ring is exact over every coefficient ring in the other multidegrees
 (Hochster's formula for complexes; Lu and Panov, "Moment-angle complexes
 from simplicial posets", for posets), so those blocks carry no
@@ -384,13 +386,14 @@ class TorTable:
     squarefree is true when chi is the identity: the entries then hold
     only the squarefree multidegree blocks, otherwise one block per
     bidegree, of multidegree () (the grading routines _multidegrees,
-    _block_keys and _key_multidegree).  top is the dimension n + d of the
+    _block_keys, which reads the faces by vertex bit mask, a map built on
+    its first call, and _key_multidegree).  top is the dimension n + d of the
     space, d the largest element rank: the entries of higher total degree
     hold no block."""
 
     __slots__ = ("data", "ring", "bound", "squarefree", "top", "face",
                  "entries", "_layouts", "_poset_pos", "_blocks",
-                 "_columns", "_contractions", "_zeros")
+                 "_columns", "_contractions", "_zeros", "_vset_masks")
 
     def __init__(self, data, ring, bound, face):
         self.data = data
@@ -408,6 +411,7 @@ class TorTable:
         self._columns = {}
         self._contractions = {}
         self._zeros = {}
+        self._vset_masks = None
 
     def column(self, key):
         """The integer Koszul column d(key) as {key: int}, built once per
@@ -564,8 +568,8 @@ class TorTable:
         """The block of multidegree mu in a bidegree: the one compute_tor
         built, or else, for a block it leaves out, one built on demand
         with its cokernel and kept in the same store.  On a squarefree
-        table mu is a tuple over the ambient vertices; any other table has
-        one block per bidegree, with mu = ()."""
+        table mu is a tuple of non-negative ints over the ambient vertices;
+        any other table has one block per bidegree, with mu = ()."""
         k, t = -bidegree[0], bidegree[1]
         if bidegree not in self.entries:
             raise ValueError("no basis at bidegree %r" % (bidegree,))
@@ -573,15 +577,19 @@ class TorTable:
             if mu != ():
                 raise ValueError("the blocks of a table without multidegree "
                                  "blocks are whole bidegrees, mu = ()")
+        elif type(mu) is not tuple or not all(
+                type(x) is int and x >= 0 for x in mu):
+            raise ValueError("multidegree %r is not a tuple of non-negative "
+                             "ints" % (mu,))
         elif len(mu) != len(self.data.vertices) or 2 * sum(mu) != t:
             raise ValueError("multidegree %r does not lie in bidegree %r"
                              % (mu, bidegree))
         block = self._blocks.get((bidegree, mu))
         if block is None:
-            keys = [self._block_keys(mu, j, t) for j in (k - 1, k, k + 1)]
-            block = _Block(self.ring, keys[1],
-                           {key: i for i, key in enumerate(keys[0])},
-                           keys[2], self.column)
+            keys = self._block_keys(mu, t, range(k - 1, k + 2))
+            block = _Block(self.ring, keys[k],
+                           {key: i for i, key in enumerate(keys[k - 1])},
+                           keys[k + 1], self.column)
             block.finish(self.ring, self.column)
             self._blocks[(bidegree, mu)] = block
         return block
@@ -616,31 +624,51 @@ class TorTable:
                 for w in combinations(range(m), t // 2)
                 if is_cone is None or not is_cone(sum(1 << i for i in w))]
 
-    def _block_keys(self, mu, k, t):
-        """The basis keys (S, m) of block mu with |S| = k in internal
-        degree t, in basis order.  On a squarefree table these are the
-        monomials m with exponent vector mu - S, one per element over its
-        support (face.monomials_from_exponents); otherwise the whole
-        bidegree basis."""
+    def _block_keys(self, mu, t, ks):
+        """{k: the basis keys (S, m) of block mu with |S| = k in internal
+        degree t, in basis order} for each k of ks: on a squarefree table,
+        for each element rho with D <= V(rho) <= supp(mu), D the vertices
+        of exponent >= 2, and each T inside D, S = supp(mu) - V(rho) + T
+        and m of exponent vector mu - S over rho (face.chain_monomial;
+        ((rho, 1),), or () for the bottom, when mu is 0/1).  A ghost lies
+        in no face, so always in S.  A stable sort by S keeps the elements
+        of one vertex set in the face ring's order.  On any other table:
+        the whole bidegree basis."""
         if not self.squarefree:
-            return bidegree_basis(self.face, self.data.n, k, t)
-        if k < 0:
-            return ()
-        keys = []
-        for S in combinations([i + 1 for i, x in enumerate(mu) if x], k):
-            rest = list(mu)
-            for i in S:
-                rest[i - 1] -= 1
-            vec = [0] * len(self.face.poset.vertices)
-            for x, p in zip(rest, self._poset_pos):
-                if x:
-                    if p is None:  # t_v vanishes on a ghost
-                        break
-                    vec[p] = x
-            else:
-                keys.extend((S, mono)
-                            for mono in self.face.monomials_from_exponents(vec))
-        return tuple(keys)
+            return {k: bidegree_basis(self.face, self.data.n, k, t)
+                    for k in ks}
+        if self._vset_masks is None:
+            index = self.data.vertex_index
+            self._vset_masks = [
+                (sum(1 << index[v] for v in vset), elements)
+                for vset, elements in self.face._by_vset.items()]
+        support = [i for i, x in enumerate(mu, 1) if x]
+        dpos = [i for i in support if mu[i - 1] > 1]
+        wmask = sum(1 << (i - 1) for i in support)
+        dmask = sum(1 << (i - 1) for i in dpos)
+        keys = {k: [] for k in ks}
+        for vmask, elements in self._vset_masks:
+            if dmask & ~vmask or vmask & ~wmask:
+                continue
+            outside = [i for i in support if not vmask >> (i - 1) & 1]
+            for r in range(len(dpos) + 1):
+                group = keys.get(len(outside) + r)
+                if group is None:
+                    continue
+                for T in combinations(dpos, r):
+                    S = tuple(sorted(outside + list(T)))
+                    if dmask:  # over the poset vertices, in ambient order
+                        vec = [mu[i] - (i + 1 in T) if vmask >> i & 1 else 0
+                               for i, p in enumerate(self._poset_pos)
+                               if p is not None]
+                        monos = [self.face.chain_monomial(rho, vec)
+                                 for rho in elements]
+                    else:
+                        monos = [((rho, 1),) if vmask else ()
+                                 for rho in elements]
+                    group.extend((S, mono) for mono in monos)
+        return {k: tuple(sorted(group, key=lambda key: key[0]))
+                for k, group in keys.items()}
 
     def _key_multidegree(self, key):
         """The multidegree of the block that holds a key: on a squarefree
@@ -688,12 +716,13 @@ def compute_tor(data, ring, bound=None):
     each bidegree is solved whole; the table decides which, in one place.
     Bidegrees of total degree above table.top get an entry without
     blocks, and on a complex identity chi builds no multidegree whose
-    full subcomplex is a cone.  Per internal
-    degree every block runs its kernel Smith form first, in ascending k
-    and sorted multidegree; then each block is finished from the rank and
-    the unit diagonal of the block one step up in the same multidegree:
-    an acyclic block gets the zero cokernel, any other one the cokernel
-    of its image."""
+    full subcomplex is a cone.  Per internal degree one _block_keys call
+    per multidegree gives the keys of every k that a block reads (k - 1,
+    k and k + 1); every block runs its kernel Smith form first, in
+    ascending k and sorted multidegree; then each block is finished from
+    the rank and the unit diagonal of the block one step up in the same
+    multidegree: an acyclic block gets the zero cokernel, any other one
+    the cokernel of its image."""
     data.ensure_valid()
     if bound is None:
         bound = len(data.vertices) + data.n
@@ -711,8 +740,7 @@ def compute_tor(data, ring, bound=None):
         ks = range(kcut - 1, kmax + 2)
         grouped = {k: {} for k in ks}
         for mu in table._multidegrees(t, is_cone) if kcut <= kmax else ():
-            for k in ks:
-                keys = table._block_keys(mu, k, t)
+            for k, keys in table._block_keys(mu, t, ks).items():
                 if keys:
                     grouped[k][mu] = keys
         # every kernel form first, in ascending k: {k: {mu: block}}

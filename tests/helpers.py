@@ -398,3 +398,27 @@ DOUBLED_HEXAGON = {
         [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]])],
     "elements": _doubled_polygon_elements(6),
 }
+
+
+def subset_block_keys(table, mu, k, t):
+    """The basis keys of block mu with |S| = k in internal degree t on a
+    squarefree table, by trying every k-subset S of the support of mu:
+    the monomials of exponent vector mu - S, none when that vector is
+    positive on a ghost vertex.  The oracle for TorTable._block_keys."""
+    if k < 0:
+        return ()
+    keys = []
+    for S in combinations([i + 1 for i, x in enumerate(mu) if x], k):
+        rest = list(mu)
+        for i in S:
+            rest[i - 1] -= 1
+        vec = [0] * len(table.face.poset.vertices)
+        for x, p in zip(rest, table._poset_pos):
+            if x:
+                if p is None:  # t_v vanishes on a ghost
+                    break
+                vec[p] = x
+        else:
+            keys.extend((S, mono)
+                        for mono in table.face.monomials_from_exponents(vec))
+    return tuple(keys)

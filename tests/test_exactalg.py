@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import facetor.exactalg as exactalg
 from facetor.documents import parse_data_document
@@ -380,6 +380,47 @@ def test_snf_deterministic_across_insertion_order():
     assert sa.diagonal == sb.diagonal
     for name in ("U", "Uinv", "V", "Vinv"):
         assert getattr(sa, name) == getattr(sb, name)
+
+
+@st.composite
+def zero_or_one_column_matrix(draw):
+    """A matrix with no nonzero entry, of any shape up to 6 x 4, or with
+    one column of up to 6 entries, over QQ, ZZ or Z/3."""
+    ring = draw(st.sampled_from((QQ, ZZ, F3)))
+    m = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        return ExactMatrix(m, draw(st.integers(0, 4)), ring)
+    if ring is QQ:
+        value = st.fractions(min_value=-9, max_value=9, max_denominator=3)
+    else:
+        value = st.integers(-12, 12)
+    column = draw(st.dictionaries(st.integers(0, m - 1), value)) if m else {}
+    return ExactMatrix.from_columns([column], m, ring)
+
+
+def typed_slots(slots):
+    return None if slots is None else [typed_items(s) for s in slots]
+
+
+@given(zero_or_one_column_matrix())
+@settings(max_examples=200, deadline=None)
+@example(ExactMatrix.from_dense([[4], [-6], [10]], ZZ))
+@example(ExactMatrix.from_dense([[0], [-3]], ZZ))
+@example(ExactMatrix.from_dense([[Fraction(2, 3)], [4]], QQ))
+@example(ExactMatrix(0, 3, QQ))
+@example(ExactMatrix(3, 0, ZZ))
+def test_kernel_forms_of_trivial_shape_match_full_elimination(A):
+    # forms without U and Uinv on a zero or one-column matrix return at
+    # once; the form that wants all four transforms is eliminated in full
+    full = A.smith_normal_form()
+    for want in (("V", "Vinv"), ("V",), ("Vinv",), ()):
+        sf = A.smith_normal_form(want=want)
+        assert typed_tuple(sf.diagonal) == typed_tuple(full.diagonal)
+        assert typed_slots(sf.v_cols) == (
+            typed_slots(full.v_cols) if "V" in want else None)
+        assert typed_slots(sf.vinv_rows) == (
+            typed_slots(full.vinv_rows) if "Vinv" in want else None)
+        assert sf.u_rows is None and sf.uinv_cols is None
 
 
 def smith_output_sample():

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -27,7 +28,7 @@ from helpers import (DOUBLED_PENTAGON, QUOTIENT_LARGE, cstar2_data,
                      product_restrictions, rebased, rp2_facets,
                      small_characteristic_data, small_complex_facets,
                      small_poset_data, solid_simplex, sphere_data,
-                     two_points_classes)
+                     subset_block_keys, two_points_classes)
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
@@ -463,6 +464,25 @@ def test_hochster_matches_engine(data):
         assert table.rank_table() == hochster_oracle(data, ring)
 
 
+@pytest.mark.parametrize("data", [
+    moment_angle(cycle_facets(9)), moment_angle(cycle_facets(10)),
+    moment_angle(rp2_facets(), ghosts=2)], ids=["C9", "C10", "RP2+2"])
+def test_larger_moment_angle_tables_match_oracles(data):
+    # the sizes where keys read off faces differ most from subsets of W:
+    # QQ and Z/2 ranks against Hochster, ZZ free ranks against QQ, and
+    # Z/2 dimensions against ZZ torsion by universal coefficients
+    tables = {ring: compute_tor(data, ring) for ring in (QQ, ZZ, F2)}
+    for ring in (QQ, F2):
+        assert tables[ring].rank_table() == hochster_oracle(data, ring)
+    assert tables[ZZ].rank_table() == tables[QQ].rank_table()
+
+    def tp(bd):
+        return sum(1 for d in tables[ZZ].torsion(bd) if d % 2 == 0)
+    for bd in tables[F2].entries:
+        assert tables[F2].rank(bd) == (tables[QQ].rank(bd) + tp(bd)
+                                       + tp((bd[0] + 1, bd[1])))
+
+
 # ---------------------------------------------------------------------------
 # Torsion and universal coefficients.
 
@@ -724,6 +744,49 @@ def test_multidegree_block_is_the_block_compute_tor_built(monkeypatch):
         assert set(z) <= set(block.keys)
         assert built == ([block] if cut else [])
     assert cuts == [False, True, True]
+
+
+@given(st.one_of(moment_angle_data(max_vertices=5),
+                 st.tuples(small_complex_facets(max_vertices=4),
+                           st.integers(0, 2)).map(
+                     lambda fg: moment_angle(fg[0][0], ghosts=fg[1])),
+                 poset_moment_angle(4)),
+       st.data())
+@example(moment_angle(cycle_facets(4)), None)
+@example(CharacteristicData.moment_angle(
+    double_edge_poset(), vertices=["a", "b", "z"]), None)
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_block_keys_match_the_subset_oracle(data, draw):
+    # the keys read off the faces inside W equal those of every subset S
+    # of W, for every k, on complexes, posets and ghosts, 0/1 or not; the
+    # examples draw nothing and walk every mu with entries up to 2
+    table = compute_tor(data, QQ, bound=0)
+    m = len(data.vertices)
+    if draw is None:
+        mus = list(itertools.product(range(3), repeat=m))
+    else:
+        mus = [tuple(draw.draw(st.lists(st.integers(0, 3), min_size=m,
+                                        max_size=m)))
+               for _ in range(4)]
+    for mu in mus:
+        t = 2 * sum(mu)
+        keys = table._block_keys(mu, t, range(-1, m + 2))
+        assert list(keys) == list(range(-1, m + 2))
+        for k, got in keys.items():
+            assert got == subset_block_keys(table, mu, k, t), (mu, k)
+
+
+def test_multidegree_block_rejects_malformed_multidegrees():
+    table = compute_tor(moment_angle(cycle_facets(4)), QQ)
+    stored = dict(table._blocks)
+    for mu in ((3, -1, 0, 0), (1.5, 0.5, 0, 0), [1, 1, 0, 0],
+               (True, True, 0, 0)):
+        with pytest.raises(ValueError, match=re.escape(
+                "multidegree %r is not a tuple of non-negative ints"
+                % (mu,))):
+            table.multidegree_block((0, 4), mu)
+    assert table._blocks == stored
 
 
 def test_reduce_rejects_keys_outside_the_basis():
