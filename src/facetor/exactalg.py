@@ -184,24 +184,6 @@ class ExactMatrix:
         self.rows = {}
 
     @classmethod
-    def from_dense(cls, dense_rows, ring, ncols=None):
-        nrows = len(dense_rows)
-        if ncols is None:
-            ncols = len(dense_rows[0]) if dense_rows else 0
-        out = cls(nrows, ncols, ring)
-        for i, row in enumerate(dense_rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            r = {}
-            for j, x in enumerate(row):
-                v = ring.convert(x)
-                if v:
-                    r[j] = v
-            if r:
-                out.rows[i] = r
-        return out
-
-    @classmethod
     def from_columns(cls, columns, nrows, ring):
         """Build from a list of sparse column vectors (dicts over rows)."""
         out = cls(nrows, len(columns), ring)
@@ -248,21 +230,6 @@ class ExactMatrix:
     def column(self, j):
         return {i: row[j] for i, row in self.rows.items() if j in row}
 
-    def mul_vec(self, x):
-        """Matrix times sparse column vector: (A x) as a sparse dict."""
-        mod = self.ring.modulus
-        out = {}
-        for i, row in self.rows.items():
-            common = row.keys() & x.keys()
-            if not common:
-                continue
-            s = sum(row[j] * x[j] for j in common)
-            if mod:
-                s %= mod
-            if s:
-                out[i] = s
-        return out
-
     def __matmul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -293,14 +260,6 @@ class ExactMatrix:
             return NotImplemented
         return (self.ring == other.ring and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.rows == other.rows)
-
-    def to_dense(self):
-        z = self.ring.zero()
-        out = [[z] * self.ncols for _ in range(self.nrows)]
-        for i, row in self.rows.items():
-            for j, v in row.items():
-                out[i][j] = v
-        return out
 
     def __repr__(self):
         nnz = sum(len(r) for r in self.rows.values())

@@ -29,8 +29,7 @@ the shuffle sign.
 from itertools import combinations
 
 from .exactalg import CoefficientRing
-from .facering import FaceRing, convert_element, format_monomial, \
-    format_sum, monomial_degree
+from .facering import FaceRing, convert_element, monomial_degree
 
 _ZZ = CoefficientRing.integers()
 
@@ -53,17 +52,6 @@ def element_total_degree(poset, z):
         raise ValueError("element is not homogeneous: degrees %s"
                          % sorted(degrees))
     return degrees.pop()
-
-
-def format_koszul(z):
-    """Deterministic human-readable form, terms ordered by (S, mono)."""
-    terms = []
-    for S, mono in sorted(z, key=lambda key: (len(key[0]), key)):
-        bits = ["".join("a[%d]" % i for i in S)] if S else []
-        if mono:
-            bits.append(format_monomial(mono))
-        terms.append((z[S, mono], "*".join(bits)))
-    return format_sum(terms)
 
 
 def _add_term(out, key, c, modulus):
@@ -136,10 +124,6 @@ class TwistData:
             found = memo[key] = tuple((U, tuple(terms))
                                       for U, terms in grouped.items())
         return found
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n, {})
 
     @property
     def is_zero(self):
@@ -331,11 +315,3 @@ def bidegree_basis(face, n, k, t):
                  for S in combinations(range(1, n + 1), k)
                  for mono in monos)
 
-
-def total_degree_basis(data, d, face=None):
-    """Deterministic ordered basis of the total-degree-d component: the
-    bidegree bases (-k, d + k), largest k first."""
-    if face is None:
-        face = FaceRing(data.poset)
-    return tuple(key for k in range(min(data.n, d), -1, -1)
-                 for key in bidegree_basis(face, data.n, k, d + k))

@@ -66,22 +66,18 @@ q_ij is zero.  Sums of scaled classes add
 coordinates and make them canonical once (_combination).  A
 Hochster-style oracle recomputes moment-angle ranks from the reduced
 cohomology of full subposets, euler_oracle gives the alternating rank
-sum of every internal degree from the f-vector alone, for every chi, and
-uct_report cross-checks the mod-p tables against the rational and
-integral ones.
+sum of every internal degree from the f-vector alone, for every chi.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
-from .exactalg import CoefficientRing, ExactMatrix
+from .exactalg import ExactMatrix
 from .facering import FaceRing, format_sum
 from .koszul import (_add_term, bidegree, bidegree_basis, compute_q,
                      differential, element_total_degree, integer_column,
                      monomial_degree, star_product, wedge_product)
-
-_ZZ = CoefficientRing.integers()
 
 
 def _has_monomials(face, d):
@@ -775,11 +771,6 @@ def compute_tor(data, ring, bound=None):
     return table
 
 
-def reduce(z, table, total=None):
-    """Class of a cocycle in the given table."""
-    return table.reduce(z, total=total)
-
-
 def generator_name(gid):
     """Stable printable name of a table generator: g(j,t;index)."""
     (j, t), i = gid
@@ -815,11 +806,6 @@ class ProductTable:
         self.table = table
         self.twist = twist
         self.products = products
-
-    @property
-    def generators(self):
-        """The representatives, in the table's generator order."""
-        return tuple(self.table.generator_list())
 
     def product(self, gid_a, gid_b):
         return self.products[(gid_a, gid_b)]
@@ -993,30 +979,3 @@ def euler_oracle(data, bound=None):
             out[t] = chi
     return out
 
-
-def uct_report(data, p, bound=None):
-    """Universal-coefficient consistency of the mod-p table against the
-    rational and integral ones; returns a list of problem strings."""
-    ring_q = CoefficientRing.rationals()
-    ring_p = CoefficientRing.integers_mod(p)
-    table_q = compute_tor(data, ring_q, bound=bound)
-    table_z = compute_tor(data, _ZZ, bound=bound)
-    table_p = compute_tor(data, ring_p, bound=bound)
-
-    def tp(bd):
-        return sum(1 for d in table_z.torsion(bd) if d % p == 0)
-
-    problems = []
-    seen = set(table_q.entries) | set(table_z.entries) | set(table_p.entries)
-    for bd in sorted(seen):
-        rq = table_q.rank(bd)
-        if rq != table_z.rank(bd):
-            problems.append("free rank mismatch at %r: QQ %d vs ZZ %d"
-                            % (bd, rq, table_z.rank(bd)))
-        expected = rq + tp(bd) + tp((bd[0] + 1, bd[1]))
-        got = table_p.rank(bd)
-        if got != expected:
-            problems.append(
-                "mod-%d dimension at %r is %d, universal coefficients "
-                "predict %d" % (p, bd, got, expected))
-    return problems

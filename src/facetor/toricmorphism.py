@@ -119,80 +119,66 @@ def validate_morphism(phi):
 
 class Lift:
     """Integer columns {source vertex: {target vertex: coefficient}} of a
-    matrix on vertex coordinates covering A."""
+    matrix on vertex coordinates covering A: sum_v c_v chi_v = A chi_v'
+    for the column c of every source vertex v'.  It keeps phi's name, not
+    phi, so a morphism's memo holds no reference back to the morphism."""
 
-    __slots__ = ("phi", "columns")
+    __slots__ = ("name", "columns", "is_identity")
 
     def __init__(self, phi, columns):
-        self.phi = phi
-        self.columns = {
-            vp: {v: _integer(c, "lift column of %r at %r", vp, v)
-                 for v, c in col.items() if c}
-            for vp, col in columns.items()}
-
-    def entry(self, v, vp):
-        return self.columns.get(vp, {}).get(v, 0)
-
-    @property
-    def is_identity(self):
-        if self.phi.source.vertices != self.phi.target.vertices:
-            return False
-        return all(self.columns[vp] == {vp: 1}
-                   for vp in self.phi.source.vertices)
+        src, tgt = phi.source, phi.target
+        if set(columns) != set(src.vertices):
+            raise ValueError("lift columns are for %s, not for the source "
+                             "vertices %s" % (list(columns), src.vertices))
+        self.name = phi.name
+        self.columns = {}
+        for vp in src.vertices:
+            col = self.columns[vp] = {
+                v: _integer(c, "lift column of %r at %r", vp, v)
+                for v, c in columns[vp].items() if c}
+            stray = [v for v in col if v not in tgt.vertex_index]
+            if stray:
+                raise ValueError("lift column of %r names unknown target "
+                                 "vertices %s" % (vp, stray))
+            image = tuple(sum(c * tgt.chi[v][i] for v, c in col.items())
+                          for i in range(tgt.n))
+            if image != phi.apply_lattice(src.chi[vp]):
+                raise ValueError("lift column of %r breaks the covering "
+                                 "equation sum_v c_v chi_v = A chi_%s"
+                                 % (vp, vp))
+        self.is_identity = src.vertices == tgt.vertices and all(
+            self.columns[vp] == {vp: 1} for vp in src.vertices)
 
     def __repr__(self):
-        return "<Lift of %r>" % (self.phi.name,)
+        return "<Lift of %r>" % (self.name,)
 
 
-def lift(phi, ghost_shift=None):
+def lift(phi):
     """The matrix on vertex coordinates covering A.
 
     Columns of poset vertices are the unique nonnegative solutions over
     the carrier nu(v'); a ghost column takes the matching target vertex
     when ids and vectors agree and falls back to an arbitrary integral
-    solve otherwise.  ghost_shift maps ghost ids to integer column
-    increments and must keep the covering equation intact; it exists to
-    check that downstream output does not depend on how ghost columns are
-    chosen.
+    solve otherwise.  hat_q and the chain maps read only the columns of
+    poset vertices, since t_v = 0 for a ghost.
     """
     phi.ensure_valid()
     src, tgt = phi.source, phi.target
-    ghost_shift = dict(ghost_shift or {})
     columns = {}
     for vp in src.vertices:
         b = phi.apply_lattice(src.chi[vp])
         if vp not in src.ghosts:
             # ensure_valid checked this solve is nonnegative
-            col = phi._carrier_solve(phi.nu[src.poset.atom[vp]], b)
+            columns[vp] = phi._carrier_solve(phi.nu[src.poset.atom[vp]], b)
         elif vp in tgt.vertex_index and tgt.chi[vp] == b:
-            col = {vp: 1}
+            columns[vp] = {vp: 1}
         else:
             bs = {i: x for i, x in enumerate(b) if x}
             sol = tgt.chi_matrix().solve(bs)
             if sol is None:
                 raise ValueError("no integral lift column for ghost %r"
                                  % (vp,))
-            col = {tgt.vertices[i]: c for i, c in sol.items() if c}
-        shift = ghost_shift.pop(vp, None)
-        if shift:
-            if vp not in src.ghosts:
-                raise ValueError("%r is not a ghost; its column is unique"
-                                 % (vp,))
-            col = dict(col)
-            for v, c in shift.items():
-                col[v] = col.get(v, 0) + _integer(
-                    c, "ghost shift of %r at %r", vp, v)
-            total = [0] * tgt.n
-            for v, c in col.items():
-                for i, x in enumerate(tgt.chi[v]):
-                    total[i] += c * x
-            if tuple(total) != b:
-                raise ValueError("ghost shift at %r breaks the covering "
-                                 "equation" % (vp,))
-        columns[vp] = col
-    if ghost_shift:
-        raise ValueError("ghost shift names unknown vertices %s"
-                         % sorted(ghost_shift))
+            columns[vp] = {tgt.vertices[i]: c for i, c in sol.items() if c}
     return Lift(phi, columns)
 
 
@@ -213,7 +199,7 @@ def hat_q(phi, lft=None):
     n = tgt.n
     q = {}
     for vp in phi.source.poset.vertices:
-        col = lft.columns.get(vp, {})
+        col = lft.columns[vp]
         support = [v for v in tgt.vertices if col.get(v)]
         if not support:
             continue
@@ -243,13 +229,13 @@ def _memo(phi, key, build):
 
 
 class _ChainMaps:
-    """Evaluation caches for the chain maps of one morphism and ring."""
+    """Evaluation caches for the chain maps of one morphism and ring; kept
+    in the morphism's memo, so they hold no reference to the morphism."""
 
-    __slots__ = ("phi", "ring", "face", "twist", "ringmap", "rows",
-                 "hatq", "_words", "_fimage")
+    __slots__ = ("ring", "face", "twist", "ringmap", "rows", "hatq",
+                 "_words", "_fimage")
 
     def __init__(self, phi, ring):
-        self.phi = phi
         self.ring = ring
         self.face = FaceRing(phi.source.poset)
         self.twist = compute_q(phi.source)

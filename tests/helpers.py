@@ -1,4 +1,7 @@
-"""Shared strategies and small builders for the test suite."""
+"""Shared strategies and small builders for the test suite, and the
+test-only helpers the library does not need: dense matrix builders and
+readers, the Koszul element printer and total-degree bases, and the
+universal-coefficient cross-check of the Tor tables."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -7,10 +10,91 @@ from math import gcd
 from hypothesis import assume
 import hypothesis.strategies as st
 
-from facetor.exactalg import ExactMatrix
-from facetor.koszul import compute_q
+from facetor.exactalg import CoefficientRing, ExactMatrix
+from facetor.facering import FaceRing, format_monomial, format_sum
+from facetor.koszul import bidegree_basis, compute_q
 from facetor.simplicial import CharacteristicData, SimplicialPoset
 from facetor.torcohomology import compute_tor, product_table
+
+
+def dense(rows, ring, ncols=None):
+    """The ExactMatrix of a list of dense rows over ring."""
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged rows")
+    return ExactMatrix.from_columns(
+        [{i: row[j] for i, row in enumerate(rows)} for j in range(ncols)],
+        len(rows), ring)
+
+
+def to_dense(A):
+    """The rows of A as dense lists, zeros in the ring's zero."""
+    z = A.ring.zero()
+    out = [[z] * A.ncols for _ in range(A.nrows)]
+    for i, row in A.rows.items():
+        for j, v in row.items():
+            out[i][j] = v
+    return out
+
+
+def mul_vec(A, x):
+    """A times a sparse column vector, as a sparse dict."""
+    mod = A.ring.modulus
+    out = {}
+    for i, row in A.rows.items():
+        s = sum(row[j] * x[j] for j in row.keys() & x.keys())
+        if mod:
+            s %= mod
+        if s:
+            out[i] = s
+    return out
+
+
+def format_koszul(z):
+    """Deterministic human-readable form, terms ordered by (S, mono)."""
+    terms = []
+    for S, mono in sorted(z, key=lambda key: (len(key[0]), key)):
+        bits = ["".join("a[%d]" % i for i in S)] if S else []
+        if mono:
+            bits.append(format_monomial(mono))
+        terms.append((z[S, mono], "*".join(bits)))
+    return format_sum(terms)
+
+
+def total_degree_basis(data, d, face=None):
+    """Deterministic ordered basis of the total-degree-d component: the
+    bidegree bases (-k, d + k), largest k first."""
+    if face is None:
+        face = FaceRing(data.poset)
+    return tuple(key for k in range(min(data.n, d), -1, -1)
+                 for key in bidegree_basis(face, data.n, k, d + k))
+
+
+def uct_report(data, p, bound=None):
+    """Universal-coefficient consistency of the mod-p table against the
+    rational and integral ones; returns a list of problem strings."""
+    table_q = compute_tor(data, CoefficientRing.rationals(), bound=bound)
+    table_z = compute_tor(data, CoefficientRing.integers(), bound=bound)
+    table_p = compute_tor(data, CoefficientRing.integers_mod(p), bound=bound)
+
+    def tp(bd):
+        return sum(1 for d in table_z.torsion(bd) if d % p == 0)
+
+    problems = []
+    seen = set(table_q.entries) | set(table_z.entries) | set(table_p.entries)
+    for bd in sorted(seen):
+        rq = table_q.rank(bd)
+        if rq != table_z.rank(bd):
+            problems.append("free rank mismatch at %r: QQ %d vs ZZ %d"
+                            % (bd, rq, table_z.rank(bd)))
+        expected = rq + tp(bd) + tp((bd[0] + 1, bd[1]))
+        got = table_p.rank(bd)
+        if got != expected:
+            problems.append(
+                "mod-%d dimension at %r is %d, universal coefficients "
+                "predict %d" % (p, bd, got, expected))
+    return problems
 
 
 def _lift(f):
@@ -138,23 +222,6 @@ def rebased(data):
     return CharacteristicData(data.poset, data.vertices,
                               {v: move(col) for v, col in data.chi.items()},
                               data.n, name=data.name)
-
-
-def two_points_classes(table):
-    """The four standard classes of the cstar2 table: a1, a2, b, c."""
-    a1 = table.reduce({((1,), ()): 1, ((3,), ()): -1})
-    a2 = table.reduce({((2,), ()): 1, ((3,), ()): -1})
-    b = table.reduce({((1, 2), ()): 1, ((2, 3), ()): 1, ((1, 3), ()): -1})
-    c = table.reduce({((), (("{v}", 1),)): 1})
-    return a1, a2, b, c
-
-
-def basis_change_source(target):
-    """cstar2 in the basis where the first ray is the third basis vector."""
-    chi = {"v": (0, 0, 1), "w": (0, 0, -1),
-           "g1": (1, 0, 0), "g2": (0, 1, 0)}
-    return CharacteristicData(target.poset, ["v", "w", "g1", "g2"], chi, 3,
-                              name="cstar2-p1 rebased")
 
 
 @st.composite
@@ -338,7 +405,7 @@ def poincare_duality_problems(data, ring):
         return problems
     products = product_table(table, compute_q(data))
     by_total = {}
-    for g in products.generators:
+    for g in table.generator_list():
         by_total.setdefault(g.total, []).append(g.gid)
     for j in range(top + 1):
         left, right = by_total.get(j, ()), by_total.get(top - j, ())

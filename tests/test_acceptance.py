@@ -15,7 +15,7 @@ from facetor.exactalg import CoefficientRing
 from facetor.koszul import compute_q, star_product, wedge_product
 from facetor.simplicial import CharacteristicData, SimplicialPoset
 from facetor.torcohomology import compare_products, compute_tor, \
-    euler_oracle, hochster_oracle, product_table, uct_report
+    euler_oracle, hochster_oracle, product_table
 from facetor.toricmorphism import cox_projection, cross_element, \
     diagonal_morphism, hat_q, hat_tor_phi, ideal_I_sigma, lift, omega, \
     power_morphism, tor_phi
@@ -23,7 +23,7 @@ from facetor.examples import basis_change_morphism, data_cstar2, \
     data_cstar2_rebased, rebased_classes, standard_classes
 
 from helpers import DOUBLED_PENTAGON, QUOTIENT_LARGE, cycle_facets, \
-    rp2_facets
+    rp2_facets, uct_report
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()

@@ -14,7 +14,7 @@ from facetor.examples import basis_change_morphism, data_cstar2, \
 from facetor.simplicial import same_data
 from facetor.toricmorphism import ToricMorphism
 
-from helpers import DOUBLED_PENTAGON, rp2_facets
+from helpers import DOUBLED_PENTAGON, format_koszul, rp2_facets
 
 
 def run_cli(capsys, *argv):
@@ -1048,7 +1048,6 @@ def test_printed_sums_frozen(capsys, docs):
 
     from facetor.exactalg import CoefficientRing
     from facetor.facering import format_element
-    from facetor.koszul import format_koszul
     from facetor.torcohomology import CohomologyClass, compute_tor, \
         format_class
 

@@ -17,7 +17,7 @@ from facetor.exactalg import (
 )
 from facetor.torcohomology import compute_tor
 
-from helpers import QUOTIENT_LARGE
+from helpers import QUOTIENT_LARGE, dense, mul_vec, to_dense
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
@@ -251,17 +251,19 @@ def test_ring_equality():
 # Matrix basics.
 
 def test_matrix_construction_and_access():
-    A = ExactMatrix.from_dense([[1, 0], [2, 3]], ZZ)
+    A = dense([[1, 0], [2, 3]], ZZ)
     assert A.get(0, 0) == 1 and A.get(0, 1) == 0
     assert A.rows == {0: {0: 1}, 1: {0: 2, 1: 3}}
     A.set(0, 0, 0)
     assert A.rows == {1: {0: 2, 1: 3}}
     assert A.column(0) == {1: 2}
-    assert A.transpose().to_dense() == [[0, 2], [0, 3]]
+    assert to_dense(A.transpose()) == [[0, 2], [0, 3]]
     B = ExactMatrix.from_columns([{0: 1}, {1: 2}], 2, ZZ)
-    assert B.to_dense() == [[1, 0], [0, 2]]
+    assert to_dense(B) == [[1, 0], [0, 2]]
     with pytest.raises(IndexError):
         A.set(5, 0, 1)
+    with pytest.raises(ValueError, match="ragged rows"):
+        dense([[1, 0], [2]], ZZ)
 
 
 @given(int_matrix(max_dim=3), int_matrix(max_dim=3))
@@ -269,22 +271,22 @@ def test_matrix_construction_and_access():
 def test_matmul_matches_dense(ab, cd):
     rows_a, n_a = ab
     rows_b, n_b = cd
-    A = ExactMatrix.from_dense(rows_a, ZZ, ncols=n_a)
+    A = dense(rows_a, ZZ, ncols=n_a)
     # Reshape B to be composable: use transpose trickery instead; just skip
     # incompatible draws.
     if len(rows_b) != n_a:
         rows_b = [[1] * n_b for _ in range(n_a)]
-    B = ExactMatrix.from_dense(rows_b, ZZ, ncols=n_b)
-    C = (A @ B).to_dense()
+    B = dense(rows_b, ZZ, ncols=n_b)
+    C = to_dense(A @ B)
     for i in range(len(rows_a)):
         for j in range(n_b):
             assert C[i][j] == sum(rows_a[i][k] * rows_b[k][j] for k in range(n_a))
 
 
 def test_mul_vec():
-    A = ExactMatrix.from_dense([[1, 2], [3, 4]], ZZ)
-    assert A.mul_vec({0: 1, 1: 1}) == {0: 3, 1: 7}
-    assert A.mul_vec({}) == {}
+    A = dense([[1, 2], [3, 4]], ZZ)
+    assert mul_vec(A, {0: 1, 1: 1}) == {0: 3, 1: 7}
+    assert mul_vec(A, {}) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +310,11 @@ def assert_snf_valid(A, sf):
 
 
 def test_snf_known_values():
-    A = ExactMatrix.from_dense([[2, 4], [6, 8]], ZZ)
+    A = dense([[2, 4], [6, 8]], ZZ)
     assert A.smith_normal_form().diagonal == [2, 4]
-    B = ExactMatrix.from_dense([[1, 2], [3, 4]], ZZ)
+    B = dense([[1, 2], [3, 4]], ZZ)
     assert B.smith_normal_form().diagonal == [1, 2]
-    C = ExactMatrix.from_dense([[2, 0], [0, 3]], ZZ)
+    C = dense([[2, 0], [0, 3]], ZZ)
     assert C.smith_normal_form().diagonal == [1, 6]
     Z = ExactMatrix(2, 3, ZZ)
     assert Z.smith_normal_form().diagonal == []
@@ -322,7 +324,7 @@ def test_snf_known_values():
 
 
 def test_snf_rejects_unknown_transform():
-    A = ExactMatrix.from_dense([[1]], ZZ)
+    A = dense([[1]], ZZ)
     with pytest.raises(ValueError):
         A.smith_normal_form(want=("W",))
 
@@ -331,7 +333,7 @@ def test_snf_rejects_unknown_transform():
 @settings(max_examples=120, deadline=None)
 def test_snf_integer_properties(data):
     rows, n = data
-    A = ExactMatrix.from_dense(rows, ZZ, ncols=n)
+    A = dense(rows, ZZ, ncols=n)
     sf = A.smith_normal_form()
     assert_snf_valid(A, sf)
     assert sf.diagonal == naive_smith_diagonal(rows, n)
@@ -341,7 +343,7 @@ def test_snf_integer_properties(data):
 @settings(max_examples=80, deadline=None)
 def test_snf_matches_minors_oracle(data):
     rows, n = data
-    A = ExactMatrix.from_dense(rows, ZZ, ncols=n)
+    A = dense(rows, ZZ, ncols=n)
     assert A.smith_normal_form(want=()).diagonal == minors_smith_diagonal(rows, n)
 
 
@@ -349,7 +351,7 @@ def test_snf_matches_minors_oracle(data):
 @settings(max_examples=60, deadline=None)
 def test_snf_rational_properties(data):
     rows, n = data
-    A = ExactMatrix.from_dense(rows, QQ, ncols=n)
+    A = dense(rows, QQ, ncols=n)
     sf = A.smith_normal_form()
     assert_snf_valid(A, sf)
     int_rows = [[x * 840 for x in row] for row in rows]  # clear denominators
@@ -361,7 +363,7 @@ def test_snf_rational_properties(data):
 @settings(max_examples=60, deadline=None)
 def test_snf_mod_p_properties(data):
     rows, n = data
-    A = ExactMatrix.from_dense(rows, F5, ncols=n)
+    A = dense(rows, F5, ncols=n)
     sf = A.smith_normal_form()
     assert_snf_valid(A, sf)
     assert sf.rank == dense_rank_mod(rows, n, 5)
@@ -404,9 +406,9 @@ def typed_slots(slots):
 
 @given(zero_or_one_column_matrix())
 @settings(max_examples=200, deadline=None)
-@example(ExactMatrix.from_dense([[4], [-6], [10]], ZZ))
-@example(ExactMatrix.from_dense([[0], [-3]], ZZ))
-@example(ExactMatrix.from_dense([[Fraction(2, 3)], [4]], QQ))
+@example(dense([[4], [-6], [10]], ZZ))
+@example(dense([[0], [-3]], ZZ))
+@example(dense([[Fraction(2, 3)], [4]], QQ))
 @example(ExactMatrix(0, 3, QQ))
 @example(ExactMatrix(3, 0, ZZ))
 def test_kernel_forms_of_trivial_shape_match_full_elimination(A):
@@ -518,7 +520,7 @@ def derived_output_digest():
         with pytest.raises(ValueError, match="^index %d out of range$" % m):
             ck.project({m: ring.one()})
         x0 = {j: v for j in range(n) for v in (draw(),) if v}
-        probes = [A.mul_vec(x0)] + units
+        probes = [mul_vec(A, x0)] + units
         h.update(repr([typed_items(A.solve(b)) for b in probes]).encode())
         if ring.is_field:
             ps = PreparedSolver(A)
@@ -545,11 +547,11 @@ DERIVED_OUTPUT_DIGEST = (
 @settings(max_examples=80, deadline=None)
 def test_kernel_basis_integer(data):
     rows, n = data
-    A = ExactMatrix.from_dense(rows, ZZ, ncols=n)
+    A = dense(rows, ZZ, ncols=n)
     basis = A.kernel_basis()
     assert len(basis) == n - A.rank()
     for x in basis:
-        assert A.mul_vec(x) == {}
+        assert mul_vec(A, x) == {}
     if basis:
         K = ExactMatrix.from_columns(basis, n, ZZ)
         # Saturated: the basis extends to a basis of Z^n.
@@ -561,32 +563,32 @@ def test_kernel_basis_integer(data):
 @settings(max_examples=80, deadline=None)
 def test_solve_roundtrip_integer(data, xs):
     rows, n = data
-    A = ExactMatrix.from_dense(rows, ZZ, ncols=n)
+    A = dense(rows, ZZ, ncols=n)
     x0 = {j: xs[j] for j in range(n) if xs[j]}
-    b = A.mul_vec(x0)
+    b = mul_vec(A, x0)
     x = A.solve(b)
     assert x is not None
-    assert A.mul_vec(x) == b
+    assert mul_vec(A, x) == b
 
 
 @given(frac_matrix(max_dim=3), st.lists(st.integers(-4, 4), min_size=3, max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_solve_roundtrip_rational(data, xs):
     rows, n = data
-    A = ExactMatrix.from_dense(rows, QQ, ncols=n)
+    A = dense(rows, QQ, ncols=n)
     x0 = {j: Fraction(xs[j]) for j in range(n) if xs[j]}
-    b = A.mul_vec(x0)
+    b = mul_vec(A, x0)
     x = A.solve(b)
-    assert x is not None and A.mul_vec(x) == b
+    assert x is not None and mul_vec(A, x) == b
 
 
 def test_solve_edge_cases():
-    A = ExactMatrix.from_dense([[2]], ZZ)
+    A = dense([[2]], ZZ)
     assert A.solve({0: 1}) is None
     assert A.solve({0: 4}) == {0: 2}
-    AQ = ExactMatrix.from_dense([[2]], QQ)
+    AQ = dense([[2]], QQ)
     assert AQ.solve({0: 1}) == {0: Fraction(1, 2)}
-    B = ExactMatrix.from_dense([[1], [1]], ZZ)
+    B = dense([[1], [1]], ZZ)
     assert B.solve({0: 1, 1: 2}) is None
     assert B.solve({0: 1, 1: 1}) == {0: 1}
     assert A.solve({}) == {}
@@ -595,10 +597,10 @@ def test_solve_edge_cases():
 
 
 def test_cokernel_known():
-    A = ExactMatrix.from_dense([[2, 0], [0, 3]], ZZ)
+    A = dense([[2, 0], [0, 3]], ZZ)
     ck = A.cokernel_structure()
     assert ck.free_rank == 0 and ck.torsion == [6]
-    B = ExactMatrix.from_dense([[2, 0]], ZZ)
+    B = dense([[2, 0]], ZZ)
     ck = B.cokernel_structure()
     assert ck.free_rank == 0 and ck.torsion == [2]
     C = ExactMatrix(2, 1, ZZ)
@@ -611,9 +613,9 @@ def test_cokernel_known():
 @settings(max_examples=60, deadline=None)
 def test_cokernel_kills_image(data, xs):
     rows, n = data
-    A = ExactMatrix.from_dense(rows, ZZ, ncols=n)
+    A = dense(rows, ZZ, ncols=n)
     ck = A.cokernel_structure()
-    w = A.mul_vec({j: xs[j] for j in range(n) if xs[j]})
+    w = mul_vec(A, {j: xs[j] for j in range(n) if xs[j]})
     free, tors = ck.project(w)
     assert all(c == 0 for c in free)
     assert all(c == 0 for c in tors)
@@ -621,7 +623,7 @@ def test_cokernel_kills_image(data, xs):
 
 
 def test_cokernel_generators_project_to_unit_vectors():
-    A = ExactMatrix.from_dense([[2, 0], [0, 1]], ZZ)
+    A = dense([[2, 0], [0, 1]], ZZ)
     ck = A.cokernel_structure()
     assert ck.free_rank == 0 and ck.torsion == [2]
     free, tors = ck.project(ck.torsion_generators[0])
@@ -635,13 +637,13 @@ def test_cokernel_generators_project_to_unit_vectors():
 @settings(max_examples=60, deadline=None)
 def test_prepared_solver_agrees_with_solve(data, xs):
     rows, n = data
-    A = ExactMatrix.from_dense(rows, QQ, ncols=n)
+    A = dense(rows, QQ, ncols=n)
     ps = PreparedSolver(A)
     assert ps.full_column_rank == (A.rank() == n)
     x0 = {j: Fraction(xs[j]) for j in range(n) if xs[j]}
-    b = A.mul_vec(x0)
+    b = mul_vec(A, x0)
     x = ps.solve(b)
-    assert x is not None and A.mul_vec(x) == b
+    assert x is not None and mul_vec(A, x) == b
     if ps.full_column_rank:
         assert x == x0
     # When A is not onto, some unit vector lies outside its column span.
@@ -651,11 +653,11 @@ def test_prepared_solver_agrees_with_solve(data, xs):
         x = ps.solve(probe)
         assert (x is None) == (A.solve(probe) is None)
         if x is not None:
-            assert A.mul_vec(x) == probe
+            assert mul_vec(A, x) == probe
 
 
 def test_prepared_solver_basic():
-    A = ExactMatrix.from_dense([[1, 1], [0, 1], [1, 0]], QQ)
+    A = dense([[1, 1], [0, 1], [1, 0]], QQ)
     ps = PreparedSolver(A)
     assert ps.full_column_rank
     assert ps.solve({0: 2, 1: 1, 2: 1}) == {0: 1, 1: 1}
@@ -663,24 +665,24 @@ def test_prepared_solver_basic():
     with pytest.raises(ValueError):
         ps.solve({9: 1})
     with pytest.raises(ValueError):
-        PreparedSolver(ExactMatrix.from_dense([[1]], ZZ))
+        PreparedSolver(dense([[1]], ZZ))
 
 
 def test_prepared_solver_mod_p():
-    A = ExactMatrix.from_dense([[2, 1], [1, 1]], F5)
+    A = dense([[2, 1], [1, 1]], F5)
     ps = PreparedSolver(A)
-    b = A.mul_vec({0: 3, 1: 4})
+    b = mul_vec(A, {0: 3, 1: 4})
     x = ps.solve(b)
-    assert A.mul_vec(x) == b
+    assert mul_vec(A, x) == b
     # rank deficient: row 1 = 2 row 0, row 3 = row 0 + row 2, and
     # column 1 = 2 column 0
-    A = ExactMatrix.from_dense(
+    A = dense(
         [[1, 2, 0], [2, 4, 0], [0, 0, 1], [1, 2, 1]], F5)
     ps = PreparedSolver(A)
     assert ps.rank == 2 and not ps.full_column_rank
-    b = A.mul_vec({0: 1, 1: 3, 2: 4})
+    b = mul_vec(A, {0: 1, 1: 3, 2: 4})
     x = ps.solve(b)
-    assert A.mul_vec(x) == b
+    assert mul_vec(A, x) == b
     assert all(v in range(1, 5) for v in x.values())
     for probe in ({1: 1}, {3: 2}, {0: 1, 1: 1}):
         assert ps.solve(probe) is None and A.solve(probe) is None

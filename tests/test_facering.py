@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from facetor.documents import parse_data_document
+from facetor.examples import data_cstar2_rebased
 from facetor.exactalg import CoefficientRing
 from facetor.facering import (
     FaceRing,
@@ -19,10 +20,10 @@ from facetor.simplicial import CharacteristicData, SimplicialPoset
 from facetor.toricmorphism import ToricMorphism, cox_projection, \
     diagonal_morphism, lift, power_morphism
 
-from helpers import DOUBLED_HEXAGON, DOUBLED_PENTAGON, basis_change_source, \
-    cstar2_data, double_edge_poset, product_restrictions, \
-    pullback_restrictions, small_characteristic_data, small_complex_facets, \
-    small_poset_data, solid_simplex
+from helpers import DOUBLED_HEXAGON, DOUBLED_PENTAGON, cstar2_data, \
+    double_edge_poset, product_restrictions, pullback_restrictions, \
+    small_characteristic_data, small_complex_facets, small_poset_data, \
+    solid_simplex
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
@@ -515,7 +516,7 @@ def test_pullback_matches_restriction_oracle(data, kind, ring):
 @pytest.mark.parametrize("ring", RINGS, ids=str)
 def test_pullback_of_basis_change_matches_restriction_oracle(ring):
     target = cstar2_data()
-    phi = ToricMorphism(basis_change_source(target), target,
+    phi = ToricMorphism(data_cstar2_rebased(), target,
                         [[1, 0, 1], [0, 1, 1], [0, 0, 1]],
                         {e: e for e in target.poset.elements})
     assert_matches_restriction_oracle(morphism_ringmap(phi), ring)

@@ -16,17 +16,15 @@ from facetor.koszul import (
     differential,
     double_contract,
     element_total_degree,
-    format_koszul,
     single_contract,
     star_product,
     total_degree,
-    total_degree_basis,
     wedge_product,
 )
 from facetor.simplicial import CharacteristicData, SimplicialPoset
 
 from helpers import cstar2_data, small_characteristic_data, small_poset_data
-from helpers import product_restrictions
+from helpers import format_koszul, product_restrictions, total_degree_basis
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
@@ -141,7 +139,7 @@ def test_compute_q_identity_chi_is_zero():
     poset = SimplicialPoset.from_facets([["a", "b"], ["b", "c"]])
     data = CharacteristicData.moment_angle(poset)
     assert compute_q(data).is_zero
-    assert compute_q(data) == TwistData.zero(data.n)
+    assert compute_q(data) == TwistData(data.n, {})
 
 
 def test_compute_q_skips_ghosts():
@@ -293,7 +291,7 @@ def test_star_known_values_two_points():
     assert got == {((1, 2), ()): 1, ((2, 3), ()): 1, ((1, 3), ()): -1,
                    ((), tv): -1}
     # untwisted, the same product has no correction term
-    assert star_product(a1, a2, TwistData.zero(3), ZZ, face) == \
+    assert star_product(a1, a2, TwistData(3, {}), ZZ, face) == \
         wedge_product(a1, a2, ZZ, face)
 
 
@@ -374,7 +372,7 @@ def test_star_preserves_total_degree_and_matches_wedge_untwisted(data, draw):
     prod = star_product(a, b, q, ZZ, face)
     for key in prod:
         assert total_degree(data.poset, key) == da + db
-    zero = TwistData.zero(data.n)
+    zero = TwistData(data.n, {})
     assert star_product(a, b, zero, ZZ, face) == \
         wedge_product(a, b, ZZ, face)
 

@@ -11,24 +11,24 @@ from hypothesis import (HealthCheck, assume, example, given, settings,
 
 from facetor import exactalg, torcohomology
 from facetor.documents import parse_data_document
+from facetor.examples import standard_classes
 from facetor.exactalg import CoefficientRing, ExactMatrix
 from facetor.facering import FaceRing, convert_element
 from facetor.koszul import (TwistData, _add_term, bidegree, bidegree_basis,
                             compute_q, contract, differential, star_product,
-                            total_degree, total_degree_basis, wedge_product)
+                            total_degree, wedge_product)
 from facetor.simplicial import CharacteristicData, SimplicialPoset
 from facetor.torcohomology import (_ZERO_COKERNEL, _Block,
                                    _canonical_invariants, compare_products,
                                    compute_tor, euler_oracle, format_class,
-                                   hochster_oracle, product_table, reduce,
-                                   uct_report)
+                                   hochster_oracle, product_table)
 
 from helpers import (DOUBLED_PENTAGON, QUOTIENT_LARGE, cstar2_data,
                      cycle_facets, double_edge_poset, poincare_duality_problems,
                      product_restrictions, rebased, rp2_facets,
                      small_characteristic_data, small_complex_facets,
                      small_poset_data, solid_simplex, sphere_data,
-                     subset_block_keys, two_points_classes)
+                     subset_block_keys, total_degree_basis, uct_report)
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
@@ -151,15 +151,14 @@ def test_table_determinism():
 # ---------------------------------------------------------------------------
 # Reduction to classes.
 
-def test_reduce_two_points_classes():
+def test_reduce_standard_classes():
     data = cstar2_data()
     table = compute_tor(data, ZZ)
-    a1, a2, b, c = two_points_classes(table)
+    a1, a2, b, c = standard_classes(table)
     for cls in (a1, a2, b, c):
         assert not cls.is_zero
     assert a1 != a2
     assert table.reduce({((), (("{w}", 1),)): 1}) == c
-    assert reduce({((), (("{w}", 1),)): 1}, table) == c
     assert a1.total == 1 and b.total == 2 and c.total == 2
     assert b != c
 
@@ -207,7 +206,7 @@ def test_reduce_kills_coboundaries(data, draw):
 def test_class_arithmetic():
     data = cstar2_data()
     table = compute_tor(data, ZZ)
-    a1, a2, b, c = two_points_classes(table)
+    a1, a2, b, c = standard_classes(table)
     assert a1 + a2 - a2 == a1
     assert (a1 - a1).is_zero
     assert a1.scale(3) == a1 + a1 + a1
@@ -238,7 +237,7 @@ def test_generator_classes_span():
 def test_products_two_points():
     data = cstar2_data()
     table = compute_tor(data, ZZ)
-    a1, a2, b, c = two_points_classes(table)
+    a1, a2, b, c = standard_classes(table)
     q = compute_q(data)
     twisted = product_table(table, q)
     untwisted = product_table(table, None)
@@ -246,7 +245,7 @@ def test_products_two_points():
     assert untwisted.multiply_classes(a1, a2) == b
     one = table.generator_list()[0]
     assert one.total == 0
-    for g in twisted.generators:
+    for g in table.generator_list():
         assert twisted.product(one.gid, g.gid) == \
             table.generator_class(g.bidegree, g.index)
         assert twisted.product(g.gid, one.gid) == \
@@ -263,8 +262,8 @@ def test_products_graded_commutative():
     q = compute_q(data)
     for twist in (q, None):
         pt = product_table(table, twist)
-        for g1 in pt.generators:
-            for g2 in pt.generators:
+        for g1 in table.generator_list():
+            for g2 in table.generator_list():
                 if g1.total + g2.total > table.bound:
                     continue
                 sign = -1 if (g1.total % 2) and (g2.total % 2) else 1
@@ -341,8 +340,8 @@ def test_compare_builds_only_pairs_of_positive_exterior_degree(monkeypatch):
 def test_multiply_classes_rejects_classes_of_another_table():
     data = cstar2_data()
     rational, integral = compute_tor(data, QQ), compute_tor(data, ZZ)
-    a1, _, _, _ = two_points_classes(rational)
-    b1, b2, b, _ = two_points_classes(integral)
+    a1, _, _, _ = standard_classes(rational)
+    b1, b2, b, _ = standard_classes(integral)
     x3 = rational.generator_class((-1, 4), 0)  # total 3 + 2 is a zero group
     products = product_table(integral, compute_q(data))
     for x, y in ((a1, b2), (b1, a1), (x3, b)):
@@ -373,7 +372,7 @@ def test_compare_products_builds_no_product_without_twist(monkeypatch):
                             lambda *args, real=real: built.append(1)
                             or real(*args))
     assert compare_products(table).agree
-    assert compare_products(table, TwistData.zero(data.n)).agree
+    assert compare_products(table, TwistData(data.n, {})).agree
     assert built == []
 
 
@@ -959,7 +958,7 @@ def test_rational_class_repr_does_not_depend_on_construction():
     table = compute_tor(cstar2_data(), QQ)
     g = table.generator_class((-1, 2), 0)
     (gen,) = [x for x in table.generator_list() if x.gid == ((-1, 2), 0)]
-    r = reduce(gen.element, table)
+    r = table.reduce(gen.element)
     assert r == g and repr(r) == repr(g)
     assert repr(g) == ("<class total=1 {(-1, 2): "
                        "(Fraction(1, 1), Fraction(0, 1))}>")

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -5,9 +6,9 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from facetor.examples import data_cstar2_rebased, standard_classes
 from facetor.exactalg import CoefficientRing, ExactMatrix
-from facetor.koszul import (TwistData, compute_q, differential,
-                            total_degree_basis)
+from facetor.koszul import TwistData, compute_q, differential
 from facetor.simplicial import CharacteristicData, SimplicialPoset
 from facetor.torcohomology import compute_tor, product_table
 from facetor.toricmorphism import (InducedMap, Lift, ToricMorphism,
@@ -17,9 +18,9 @@ from facetor.toricmorphism import (InducedMap, Lift, ToricMorphism,
                                    power_morphism, product_failures, tor_phi,
                                    validate_morphism, xi)
 
-from helpers import (basis_change_source, cstar2_data, cycle_facets,
-                     double_edge_poset, rp2_facets, small_characteristic_data,
-                     two_points_classes)
+from helpers import (cstar2_data, cycle_facets, double_edge_poset,
+                     rp2_facets, small_characteristic_data,
+                     total_degree_basis)
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
@@ -29,7 +30,7 @@ F3 = CoefficientRing.integers_mod(3)
 
 def basis_change():
     target = cstar2_data()
-    source = basis_change_source(target)
+    source = data_cstar2_rebased()
     A = [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
     nu = {e: e for e in target.poset.elements}
     return ToricMorphism(source, target, A, nu, name="basis change")
@@ -100,7 +101,6 @@ def test_lift_frozen_columns():
     lft = lift(phi)
     assert lft.is_identity
     assert lft.columns == {v: {v: 1} for v in "v w g1 g2".split()}
-    assert lft.entry("v", "v") == 1 and lft.entry("w", "v") == 0
 
     data = cstar2_data()
     for r in (0, 2, 3):
@@ -121,17 +121,34 @@ def test_lift_ghost_shift():
     data = cstar2_data()
     p2 = power_morphism(data, 2)
     l0 = lift(p2)
-    # v + w spans the kernel of the characteristic matrix
-    l1 = lift(p2, ghost_shift={"g1": {"v": 1, "w": 1}})
+    # v + w spans the kernel of the characteristic matrix, so adding it to
+    # a ghost column keeps the covering equation
+    g1 = dict(l0.columns["g1"])
+    for v in ("v", "w"):
+        g1[v] = g1.get(v, 0) + 1
+    l1 = Lift(p2, dict(l0.columns, g1=g1))
     assert l1.columns["v"] == l0.columns["v"]
     assert l1.columns["g1"] != l0.columns["g1"]
-    assert hat_q(p2, l0) == hat_q(p2, l1)
-    with pytest.raises(ValueError, match="covering"):
-        lift(p2, ghost_shift={"g1": {"v": 1}})
-    with pytest.raises(ValueError, match="not a ghost"):
-        lift(p2, ghost_shift={"v": {"v": 1}})
-    with pytest.raises(ValueError, match="unknown"):
-        lift(p2, ghost_shift={"nope": {"v": 1}})
+    assert hat_q(p2, l1) == hat_q(p2, l0) == hat_q(p2)
+
+
+def test_lift_rejects_columns_that_do_not_cover_A():
+    p2 = power_morphism(cstar2_data(), 2)
+    columns = lift(p2).columns
+    with pytest.raises(ValueError, match=r"lift columns are for \[\], not "
+                       "for the source vertices"):
+        Lift(p2, {})
+    with pytest.raises(ValueError, match=r"are for \['nope'\]"):
+        Lift(p2, {"nope": {"zz": 1}})
+    with pytest.raises(ValueError, match=r"names unknown target vertices "
+                       r"\['zz'\]"):
+        Lift(p2, dict(columns, g1={"zz": 1}))
+    with pytest.raises(ValueError, match="of 'g1' breaks the covering "
+                       "equation sum_v c_v chi_v = A chi_g1"):
+        Lift(p2, dict(columns, g1=dict(columns["g1"], v=1)))
+    with pytest.raises(ValueError, match="of 'v' breaks the covering"):
+        Lift(p2, dict(columns, v={"v": 1}))
+    assert Lift(p2, columns).columns == columns
 
 
 def test_hat_q_power_scaling():
@@ -254,7 +271,7 @@ def test_basis_change_induced_maps():
     ttab = compute_tor(phi.target, ZZ)
     stab = compute_tor(phi.source, ZZ)
     assert stab.rank_table() == ttab.rank_table()
-    a1, a2, b, c = two_points_classes(ttab)
+    a1, a2, b, c = standard_classes(ttab)
     a1p = stab.reduce({((1,), ()): 1})
     a2p = stab.reduce({((2,), ()): 1})
     bp = stab.reduce({((1, 2), ()): 1})
@@ -305,7 +322,7 @@ def test_power_induced_maps():
     data = cstar2_data()
     for ring in (ZZ, QQ):
         table = compute_tor(data, ring)
-        a1, a2, b, c = two_points_classes(table)
+        a1, a2, b, c = standard_classes(table)
         for r in (2, 3):
             p = power_morphism(data, r)
             hat = hat_tor_phi(p, table, table)
@@ -438,7 +455,7 @@ def test_torsion_sums_reduce_mod_their_order():
 def test_omega_frozen_values():
     data = cstar2_data()
     table = compute_tor(data, QQ)
-    a1, a2, b, c = two_points_classes(table)
+    a1, a2, b, c = standard_classes(table)
     om = omega(data, table)
     assert om.apply(b) == b + c
     assert om.apply(a1) == a1 and om.apply(a2) == a2
@@ -468,7 +485,7 @@ def test_omega_frozen_values():
 def test_omega_mod_three_and_failures():
     data = cstar2_data()
     t3 = compute_tor(data, F3)
-    a1, a2, b, c = two_points_classes(t3)
+    a1, a2, b, c = standard_classes(t3)
     om = omega(data, t3)
     assert om.apply(b) == b + c
     with pytest.raises(ValueError, match="invertible"):
@@ -549,7 +566,7 @@ def test_ideal_two_points():
     cox_table = compute_tor(kappa.source, QQ)
     ideal = ideal_I_sigma(data, table, cox_table)
     assert {t: len(v) for t, v in ideal.items()} == {2: 1, 3: 2, 4: 1}
-    a1, a2, b, c = two_points_classes(table)
+    a1, a2, b, c = standard_classes(table)
     tor = tor_phi(kappa, table, cox_table)
     assert tor.apply(c).is_zero
     assert not tor.apply(b).is_zero
@@ -644,6 +661,25 @@ def test_mac_rotation_is_isomorphism():
             == len(rows)
 
 
+def test_induced_maps_leave_no_reference_cycles():
+    # neither the chain maps nor the lift in a morphism's memo refers back
+    # to the morphism, so reference counting frees it with its caches
+    data = cstar2_data()
+    for build in (lambda: power_morphism(data, 2), basis_change):
+        gc.collect()
+        gc.disable()
+        try:
+            phi = build()
+            target = compute_tor(phi.target, QQ)
+            source = compute_tor(phi.source, QQ, bound=target.bound)
+            tor_phi(phi, target, source)
+            hat_tor_phi(phi, target, source)
+            del phi, target, source
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 def test_constructors_reject_non_integral_values():
     # int() alone would truncate 1.9 and 3/2 to 1 and parse "1", and the
     # engine would then compute another space with no error
@@ -668,8 +704,9 @@ def test_constructors_reject_non_integral_values():
     phi = ToricMorphism(cp1, cp1, [[1]], nu)
     with pytest.raises(ValueError, match="lift column of 'r0' at 'r0' is not "
                        "an integer"):
-        Lift(phi, {"r0": {"r0": Fraction(1, 2)}})
+        Lift(phi, {"r0": {"r0": Fraction(1, 2)}, "r1": {"r1": 1}})
     p2 = power_morphism(cstar2_data(), 2)
-    with pytest.raises(ValueError, match="ghost shift of 'g1' at 'v' is not "
+    g1 = dict(lift(p2).columns["g1"], v=0.5, w=0.5)
+    with pytest.raises(ValueError, match="lift column of 'g1' at 'v' is not "
                        "an integer"):
-        lift(p2, ghost_shift={"g1": {"v": 0.5, "w": 0.5}})
+        Lift(p2, dict(lift(p2).columns, g1=g1))
