@@ -151,7 +151,7 @@ def test_table_determinism():
 # ---------------------------------------------------------------------------
 # Reduction to classes.
 
-def test_reduce_standard_classes():
+def test_reduce_two_points_classes():
     data = cstar2_data()
     table = compute_tor(data, ZZ)
     a1, a2, b, c = standard_classes(table)
