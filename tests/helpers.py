@@ -15,6 +15,7 @@ from facetor.facering import FaceRing, format_monomial, format_sum
 from facetor.koszul import bidegree_basis, compute_q
 from facetor.simplicial import CharacteristicData, SimplicialPoset
 from facetor.torcohomology import compute_tor, product_table
+from facetor.toricmorphism import Lift
 
 
 def dense(rows, ring, ncols=None):
@@ -207,6 +208,13 @@ def cstar2_data():
            "g1": (1, 0, 0), "g2": (0, 1, 0)}
     return CharacteristicData(poset, ["v", "w", "g1", "g2"], chi, 3,
                               name="cstar2-p1")
+
+
+def seed_lift(phi, columns):
+    """Put a lift with the given columns in phi's memo, where hat_q and the
+    chain maps read it, in place of the one lift would build."""
+    phi._cache["lift"] = Lift(phi, columns)
+    return phi
 
 
 def rebased(data):
