@@ -966,6 +966,103 @@ def test_rational_class_repr_does_not_depend_on_construction():
     assert all(type(c) is Fraction for c in g.coords + r.coords)
 
 
+def reduced_coordinates(data, ring):
+    """Lines (total degree, [(coordinate, type name), ...]) of reduce on a
+    fixed sample of cocycles of the table of data over ring: every
+    representative, each one plus twice the next of its total degree, and
+    the wedge and twisted products of every fifth pair of
+    generator_pairs()."""
+    table = compute_tor(data, ring)
+    face, mod = table.face, ring.modulus
+    twist = compute_q(data)
+    gens = table.generator_list()
+    cocycles = [g.element for g in gens]
+    for g1, g2 in zip(gens, gens[1:]):
+        if g1.total == g2.total:
+            z = dict(g1.element)
+            for key, c in g2.element.items():
+                _add_term(z, key, 2 * c, mod)
+            cocycles.append(z)
+    for g1, g2 in list(table.generator_pairs())[::5]:
+        cocycles.append(wedge_product(g1.element, g2.element, ring, face))
+        cocycles.append(star_product(g1.element, g2.element, twist, ring,
+                                     face))
+    return [repr((cls.total, [(c, type(c).__name__) for c in cls.coords]))
+            for cls in (table.reduce(z) for z in cocycles if z)]
+
+
+REDUCED_DIGESTS = {
+    "cstar2": {
+        "QQ": (31, "1f082ebc16e136886c62522fa69b9d1b"
+                   "8147fe73b705719a1de547a0039a049d"),
+        "ZZ": (31, "1e4d5908cad81740bf5bee81b350c741"
+                   "fb7d19ca8d66dc45245c73c4240ced4f"),
+        "Z/2": (31, "3703364f7db63a9d7f9f821f3fc084f3"
+                    "3b5b9a780fa7e358b7fd30ae273dc424"),
+        "Z/3": (32, "c1bb66a8765693db7028833953f6f951"
+                    "9aa77a48f9270793c90a330601c09b5d"),
+    },
+    "doubled-5-gon": {
+        "QQ": (35, "3a3b0e579637f0917643caccfd66abdb"
+                   "4752b42a011c9ca55b6d986378d8199a"),
+        "ZZ": (35, "e40315b6e3aab57aec0dd77c18ad3f15"
+                   "13d40174845e2165370144ef4f3c6843"),
+        "Z/2": (35, "2808daf77f8a6c0b0d92767cbc641cfa"
+                    "e057311a7807a5c63be4da80ae436fa9"),
+        "Z/3": (39, "52ce1c9ee6676850dcbcd0995a4ae51e"
+                    "7948bd528fe2cf7c9a6448973b4f66fc"),
+    },
+    "moment-angle-5-gon": {
+        "QQ": (38, "f3cc2f34751f284523cce4866ebc2352"
+                   "f899e23b246c4a59570e4656a4646437"),
+        "ZZ": (38, "fb9f4b56c488b91e0621fb886cc07765"
+                   "98a745065119393e6b2f7f13b25df933"),
+        "Z/2": (38, "14268dcf8ed910f1a8ff02b77f630b8f"
+                    "367bc0074379f913441a09ba331af4a3"),
+        "Z/3": (38, "1e17075cb1f5f28c3a19d35685dd9d8c"
+                    "94d26970f92628d05dd531e051f2c3ab"),
+    },
+    "quotient-large": {
+        "QQ": (31, "792937633f114d8e3240ff4ec1f76933"
+                   "60f5a19ebfb8027420238d4d9661ffc5"),
+        "ZZ": (31, "2cd9ab2b06658cc1801567f288a190fd"
+                   "926f723ec99ed2bc60c7d77f8501fedb"),
+        "Z/2": (31, "488ccb37f093e55cf74229b7efa5830d"
+                    "007269bb22d0b11295b118c915dc60a8"),
+        "Z/3": (31, "2cd9ab2b06658cc1801567f288a190fd"
+                    "926f723ec99ed2bc60c7d77f8501fedb"),
+    },
+    "rp2-moment-angle": {
+        "QQ": (134, "100f5bb68a94de1776b35a866a6c178f"
+                    "47f1e8181a12d16250846d64883552aa"),
+        "ZZ": (151, "1f5f471c92fe7c8ea7a6db077e54c328"
+                    "a3b29a872ab89eed21638ed14bfe63a6"),
+        "Z/2": (152, "14c2ad7e4a03087e6e23e736e8b82c92"
+                     "5a959bef38f697d88c01e202e1e240a2"),
+        "Z/3": (128, "c88e6473bebed7d005dd11dca98f11a4"
+                     "77d25a5ca931ff3b4c24f4c9c7d4ede9"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED_DIGESTS))
+def test_reduced_coordinates_and_types_are_unchanged(name):
+    # the classes reduce builds, coordinates and their types, over QQ, ZZ,
+    # Z/2 and Z/3: a rational zero stays Fraction(0), never the int 0
+    data = {"cstar2": cstar2_data,
+            "moment-angle-5-gon": lambda: moment_angle(cycle_facets(5)),
+            "rp2-moment-angle": lambda: moment_angle(rp2_facets()),
+            "quotient-large": lambda: parse_data_document(QUOTIENT_LARGE),
+            "doubled-5-gon": lambda: parse_data_document(DOUBLED_PENTAGON),
+            }[name]()
+    got = {}
+    for ring in (QQ, ZZ, F2, F3):
+        lines = reduced_coordinates(data, ring)
+        got[repr(ring)] = (len(lines), hashlib.sha256(
+            "\n".join(lines).encode()).hexdigest())
+    assert got == REDUCED_DIGESTS[name]
+
+
 def smith_invariants(invs):
     """Reference: the invariant factors as the Smith form of diag(d_i)."""
     invs = [d for d in invs if d not in (0, 1)]
@@ -1137,42 +1234,47 @@ def smith_call_digest(monkeypatch, data, rings):
     one ordered stream per transform set: the kernel forms ("V", "Vinv"),
     the image forms ("U", "Uinv") and the validation forms ().  Each call
     records its shape, ring and every entry with its type, in the order
-    the matrix holds them.  An image form whose cokernel is zero (rank
-    equal to the row count, every diagonal entry a unit) is left out: such
-    a block carries no cohomology, and whether its image is eliminated at
-    all is not part of the Koszul complex's input.  The kernel form of a
-    block that topology proves zero (cut_by_topology, read off the keys
-    _Block.__init__ receives) is left out for the same reason.  The face
-    ring's own restriction solvers, the PreparedSolver forms
-    FaceRing._degree_system builds, are left out too: they belong to the
-    face ring."""
+    the matrix holds them.  Only the forms of blocks that carry cohomology
+    are kept.  An image form whose cokernel is zero (rank equal to the row
+    count, every diagonal entry a unit) is left out, and so is the kernel
+    form of every block that compute_tor finishes with the shared zero
+    cokernel, a block that topology proves zero among them: such a block
+    carries no cohomology, and whether its image or its kernel is
+    eliminated at all is not part of the Koszul complex's input.  The
+    kernel forms are recorded per block, whichever of the block's methods
+    runs them, and streamed in compute_tor's block order (table.entries,
+    then entry.blocks).  The face ring's own restriction solvers, the
+    PreparedSolver forms FaceRing._degree_system builds, are left out too:
+    they belong to the face ring."""
     streams = {}
+    kernel_forms = {}  # {block: [kernel form, ...]}
     original = exactalg._smith
     original_system = FaceRing._degree_system
-    original_block = _Block.__init__
     in_system = [0]
-    block_cut = [False]
-    face = FaceRing(data.poset)
+    running = []  # the blocks whose methods are running, innermost last
 
     def recording(matrix, want):
         sf = original(matrix, want)
         ring = matrix.ring
-        zero_cokernel = (sf.rank == matrix.nrows
-                         and all(ring.is_unit(d) for d in sf.diagonal))
-        left_out = (zero_cokernel if tuple(want) == ("U", "Uinv")
-                    else tuple(want) == ("V", "Vinv") and block_cut[0])
-        if not in_system[0] and not left_out:
-            streams.setdefault(tuple(want), []).append(repr((
-                matrix.nrows, matrix.ncols, ring.kind, ring.modulus,
-                [(i, list(row.items())) for i, row in matrix.rows.items()])))
+        if in_system[0]:
+            return sf
+        call = repr((matrix.nrows, matrix.ncols, ring.kind, ring.modulus,
+                     [(i, list(row.items())) for i, row in matrix.rows.items()]))
+        if tuple(want) == ("V", "Vinv"):
+            kernel_forms.setdefault(running[-1], []).append(call)
+        elif not (tuple(want) == ("U", "Uinv") and sf.rank == matrix.nrows
+                  and all(ring.is_unit(d) for d in sf.diagonal)):
+            streams.setdefault(tuple(want), []).append(call)
         return sf
 
-    def block_init(self, ring, keys, *args):
-        block_cut[0] = bool(keys) and cut_by_topology(data, face, keys[0])
-        try:
-            original_block(self, ring, keys, *args)
-        finally:
-            block_cut[0] = False
+    def in_block(method):
+        def running_block(self, *args, **kwargs):
+            running.append(self)
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                running.pop()
+        return running_block
 
     def degree_system(self, d):
         in_system[0] += 1
@@ -1183,9 +1285,16 @@ def smith_call_digest(monkeypatch, data, rings):
 
     monkeypatch.setattr(exactalg, "_smith", recording)
     monkeypatch.setattr(FaceRing, "_degree_system", degree_system)
-    monkeypatch.setattr(_Block, "__init__", block_init)
+    for name in ("__init__", "finish"):
+        monkeypatch.setattr(_Block, name, in_block(getattr(_Block, name)))
     for ring in rings:
-        compute_tor(data, ring)
+        table = compute_tor(data, ring)
+        for entry in table.entries.values():
+            for block in entry.blocks:
+                if block.coker is not _ZERO_COKERNEL:
+                    streams.setdefault(("V", "Vinv"), []).extend(
+                        kernel_forms.pop(block, ()))
+        kernel_forms.clear()
     return {want: (len(calls),
                    hashlib.sha256("\n".join(calls).encode()).hexdigest())
             for want, calls in sorted(streams.items())}
@@ -1194,24 +1303,25 @@ def smith_call_digest(monkeypatch, data, rings):
 # The streams were first pinned whole, before the differential was
 # assembled from integer columns; they are now pinned per transform set,
 # without the image forms of zero cokernels and without the kernel forms
-# of the blocks topology proves zero.  Any change to a key order, a column
-# or an entry type changes them.
+# of the blocks finished with the zero cokernel, the blocks topology
+# proves zero among them.  Any change to a key order, a column or an entry
+# type of a block that carries cohomology changes them.
 SMITH_DIGESTS = {
     "quotient-large": {
         (): (12, "0879f91c73287c218f8c164da65a790d"
                  "ebfb2663d065ad8acc65eadf35990bd8"),
         ("U", "Uinv"): (12, "954b5ca89070c6e6551769ff9e83cd3d"
                             "8150b94deea10977db8a8cef16995e5d"),
-        ("V", "Vinv"): (57, "20455220cf7eef7750bb5d4bbefe0dea"
-                            "1657dcaf29170274e766b1758a748599"),
+        ("V", "Vinv"): (12, "2b30403ed2238363866a57bb17c4515a"
+                            "354b673f8f37aa922827cfbe847de5d9"),
     },
     "doubled-5-gon": {
         (): (30, "aab4ab489ded8b14f279fc3341cf184d"
                  "eed16f82c3ea95e94f95ae463dd76488"),
         ("U", "Uinv"): (9, "529b35a93cd0cbde8c7104014febf71d"
                            "2abe65f9bb370816b88fba615c920af1"),
-        ("V", "Vinv"): (21, "149f8057fbd7b72c436829e815776caa"
-                            "db6f325cd377b905b878ff5682d3817d"),
+        ("V", "Vinv"): (9, "915facf0a0c46eb0ca4bae3687263c6b"
+                           "9251e5240f1f9d5650f929c8128a6bcc"),
     },
 }
 
