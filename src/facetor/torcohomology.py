@@ -5,17 +5,18 @@ internal degree the complex is a finite chain of free modules; the kernel
 at each spot comes from a Smith form of the outgoing map (saturated over
 the integers), the incoming image is rewritten in kernel coordinates, and
 its cokernel structure yields ranks, torsion invariants, and deterministic
-representative cocycles.  Most blocks carry no cohomology, and the kernel
-Smith forms alone tell which: H_k = 0 exactly when rank d_k + rank
-d_(k+1) is the number of keys and, over ZZ, every Smith diagonal entry of
-d_(k+1) is a unit, since ker d_k is a direct summand (see _Block).  Such
-a block shares one zero cokernel and builds its image only when
-coboundary_witness asks for it.  The table owns one cache of the integer
-Koszul columns of its keys (koszul.integer_column); each column is built
-once and converted into the ring when a block's matrix is built, and the
-cocycle check of reduce and the blocks built on demand read the same
-cache.  Each block keeps its kernel rows by column, so the kernel
-coordinates of a vector cost as much as its few nonzeros, not the number
+representative cocycles.  Most blocks carry no cohomology, and ranks
+tell which: H_k = 0 exactly when rank d_k + rank d_(k+1) is the number
+of keys and, over ZZ, every Smith diagonal entry of d_(k+1) is a unit,
+since ker d_k is a direct summand (see _Block).  Ranks come first, from
+unit pivots (exactalg.unit_pivot_rank), and a kernel Smith form runs
+where a pivot is missing or cohomology lives; an acyclic block shares
+one zero cokernel and builds its kernel only on demand.  The table owns
+one cache of the integer Koszul columns of its keys
+(koszul.integer_column); each column is built once and converted into
+the ring when a block's matrix is built, and the cocycle check of reduce
+and the blocks read the same cache.  Each block keeps its kernel rows by
+column, so the kernel coordinates of a vector cost as much as its few nonzeros, not the number
 of kernel rows.  When chi is the identity the differential also
 preserves the fine multidegree, so each bidegree splits into small blocks
 that are solved independently, and only the squarefree multidegrees are
@@ -73,7 +74,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
-from .exactalg import ExactMatrix
+from .exactalg import ExactMatrix, unit_pivot_rank
 from .facering import FaceRing, format_sum
 from .koszul import (_add_term, bidegree, bidegree_basis, compute_q,
                      differential, element_total_degree, integer_column,
@@ -122,74 +123,92 @@ class _Block:
     """One multidegree block of a bidegree: basis keys, kernel data, and
     the cokernel of the incoming image in kernel coordinates.
 
-    The constructor runs the Smith form of the outgoing map d_k and keeps
-    its rank and whether every diagonal entry is a unit; finish then sets
-    the cokernel.  H_k = ker d_k / im d_{k+1} is zero exactly when rank
-    d_k + rank d_{k+1} is the number of keys and, over ZZ, every Smith
-    diagonal entry of d_{k+1} is a unit: C_k / ker d_k embeds in the free
-    C_(k-1), so ker d_k is a direct summand and the torsion of H_k is the
-    torsion of C_k / im d_{k+1}.  Such a block gets the shared zero
-    cokernel and builds its image only on demand (image)."""
+    The constructor finds the rank of d_k and whether every Smith
+    diagonal entry is a unit from unit pivots on its integer columns
+    (exactalg.unit_pivot_rank: all entries 1), or, when a column stalls
+    and for one column or no nonzero entry, from the kernel Smith form,
+    which a certified block runs on the first use of its kernel; finish
+    then sets the cokernel.  H_k = ker d_k / im d_{k+1} is zero exactly
+    when rank d_k + rank d_{k+1} is the number of keys and, over ZZ, every
+    Smith diagonal entry of d_{k+1} is a unit: C_k / ker d_k embeds in the
+    free C_(k-1), so ker d_k is a direct summand and the torsion of H_k is
+    the torsion of C_k / im d_{k+1}.  Such a block gets the shared zero
+    cokernel and builds its kernel and image only on demand."""
 
-    __slots__ = ("keys", "index", "kernel_by_col", "kernel_cols", "coker",
-                 "incoming", "_image", "modulus", "rank", "units", "offset")
+    __slots__ = ("keys", "index", "out_keys", "incoming", "column", "ring",
+                 "rank", "units", "_kernel", "_image", "coker", "offset")
 
-    def __init__(self, ring, keys, out_index, incoming, dvec):
-        # dvec(key) is the differential of a key, with ring or integer
-        # values: from_columns and kernel_coords bring them into the ring
-        self.modulus = ring.modulus
+    def __init__(self, ring, keys, out_keys, incoming, column):
+        self.ring = ring
         self.keys = keys
         self.index = {key: i for i, key in enumerate(keys)}
+        self.out_keys = out_keys
+        self.incoming = incoming
+        self.column = column
+        self._kernel = self._image = self.coker = None
+        self.offset = None  # of its generators in the entry, set by TorEntry
+        cols = self._columns()
+        rank = unit_pivot_rank(cols) if len(cols) > 1 and any(cols) else None
+        if rank is None:
+            self.kernel(cols)
+        else:
+            self.rank, self.units = rank, True
+
+    def _columns(self):
+        """The integer columns of d_k over the positions of the k - 1 keys."""
+        out_index = {key: i for i, key in enumerate(self.out_keys)}
         cols = []
-        for key in keys:
+        for key in self.keys:
             col = {}
-            for key2, c in dvec(key).items():
+            for key2, c in self.column(key).items():
                 row = out_index.get(key2)
                 if row is None:
                     raise AssertionError(
                         "differential left the bidegree basis at %r" % (key2,))
                 col[row] = c
             cols.append(col)
-        a_out = ExactMatrix.from_columns(cols, len(out_index), ring)
-        sf = a_out.smith_normal_form(want=("V", "Vinv"))
-        r = self.rank = sf.rank
-        self.units = all(ring.is_unit(d) for d in sf.diagonal)
-        # the kernel rows Vinv[r:] by column: {j: [(i - r, value), ...]}
-        self.kernel_by_col = {}
-        for i, row in enumerate(sf.vinv_rows[r:]):
-            for j, a in row.items():
-                self.kernel_by_col.setdefault(j, []).append((i, a))
-        self.kernel_cols = sf.v_cols[r:]
-        self.incoming = incoming
-        self._image = None
-        self.coker = None
-        self.offset = None  # of its generators in the entry, set by TorEntry
+        return cols
 
-    def finish(self, ring, dvec, acyclic=False):
+    def kernel(self, cols=None):
+        """(the kernel rows Vinv[r:] by column, {j: [(i - r, value), ...]},
+        the kernel columns V[r:]), from the kernel Smith form of d_k (cols,
+        or rebuilt), run on first use; it sets the rank and unit flag."""
+        if self._kernel is None:
+            sf = ExactMatrix.from_columns(
+                self._columns() if cols is None else cols, len(self.out_keys),
+                self.ring).smith_normal_form(want=("V", "Vinv"))
+            r = self.rank = sf.rank
+            self.units = all(self.ring.is_unit(d) for d in sf.diagonal)
+            by_col = {}
+            for i, row in enumerate(sf.vinv_rows[r:]):
+                for j, a in row.items():
+                    by_col.setdefault(j, []).append((i, a))
+            self._kernel = (by_col, sf.v_cols[r:])
+        return self._kernel
+
+    def finish(self, acyclic=False):
         """Set the cokernel: the shared zero one for an acyclic block, else
         the cokernel structure of the image."""
         self.coker = (_ZERO_COKERNEL if acyclic
-                      else self.image(ring, dvec).cokernel_structure())
+                      else self.image().cokernel_structure())
 
-    def image(self, ring, dvec):
-        """The incoming image in kernel coordinates, built on first use.
-        dvec is passed per call, not kept: the table's column cache would
-        make the block and its table a reference cycle."""
+    def image(self):
+        """The incoming image in kernel coordinates, built on first use."""
         if self._image is None:
-            xcols = [self.kernel_coords(
-                         ring, {self.index[key2]: c
-                                for key2, c in dvec(key).items()})
+            xcols = [self.kernel_coords({self.index[key2]: c for key2, c
+                                         in self.column(key).items()})
                      for key in self.incoming]
             self._image = ExactMatrix.from_columns(
-                xcols, len(self.kernel_cols), ring)
+                xcols, len(self.kernel()[1]), self.ring)
         return self._image
 
     def element_of(self, y):
         """Kernel-coordinate vector -> element dict over this block's keys."""
-        mod = self.modulus
+        mod = self.ring.modulus
+        kernel_cols = self.kernel()[1]
         out = {}
         for i, c in y.items():
-            for pos, v in self.kernel_cols[i].items():
+            for pos, v in kernel_cols[i].items():
                 w = out.get(pos, 0) + c * v
                 if mod:
                     w %= mod
@@ -213,15 +232,16 @@ class _Block:
                 out[i] = c
         return out
 
-    def kernel_coords(self, ring, w_local):
+    def kernel_coords(self, w_local):
         """Coordinates Vinv[r:] w of a local vector in the kernel basis, as
         {i: value} with ascending keys: the sum of w_j times the kernel
         column j over the support of w, reduced at the end."""
+        by_col = self.kernel()[0]
         acc = {}
         for j, b in w_local.items():
-            for i, a in self.kernel_by_col.get(j, ()):
+            for i, a in by_col.get(j, ()):
                 acc[i] = acc.get(i, 0) + a * b
-        mod = ring.modulus
+        mod = self.ring.modulus
         y = {}
         for i in sorted(acc):
             v = acc[i] % mod if mod else acc[i]
@@ -389,7 +409,7 @@ class TorTable:
 
     __slots__ = ("data", "ring", "bound", "squarefree", "top", "face",
                  "entries", "_layouts", "_poset_pos", "_blocks",
-                 "_columns", "_contractions", "_zeros", "_vset_masks")
+                 "_columns", "column", "_zeros", "_vset_masks")
 
     def __init__(self, data, ring, bound, face):
         self.data = data
@@ -404,19 +424,20 @@ class TorTable:
         self._poset_pos = [data.poset.vertex_pos.get(v)
                            for v in data.vertices]
         self._blocks = {}
-        self._columns = {}
-        self._contractions = {}
+        self._columns = columns = {}
+        contractions = {}
+
+        def column(key):
+            """d(key) as {key: int}, built once (koszul.integer_column); a
+            closure, not a method, so a block keeps it without a cycle."""
+            col = columns.get(key)
+            if col is None:
+                col = columns[key] = integer_column(key, data, face,
+                                                    contractions)
+            return col
+        self.column = column
         self._zeros = {}
         self._vset_masks = None
-
-    def column(self, key):
-        """The integer Koszul column d(key) as {key: int}, built once per
-        table (koszul.integer_column)."""
-        col = self._columns.get(key)
-        if col is None:
-            col = self._columns[key] = integer_column(
-                key, self.data, self.face, self._contractions)
-        return col
 
     def rank(self, bidegree):
         entry = self.entries.get(bidegree)
@@ -534,7 +555,7 @@ class TorTable:
             for block, part in parts.items():
                 pos = offsets[bd] + block.offset
                 free, tors = block.coker.project(
-                    block.kernel_coords(self.ring, block.local(part)))
+                    block.kernel_coords(block.local(part)))
                 coords[pos:pos + block.size] = free + tors
         return CohomologyClass(self, ztotal, tuple(coords))
 
@@ -550,10 +571,10 @@ class TorTable:
         for bd, comp in self._components(z).items():
             for mu in sorted({self._key_multidegree(key) for key in comp}):
                 block = self.multidegree_block(bd, mu)
-                y = block.kernel_coords(self.ring, block.local(comp))
+                y = block.kernel_coords(block.local(comp))
                 if not y:
                     continue
-                u = block.image(self.ring, self.column).solve(y)
+                u = block.image().solve(y)
                 if u is None:
                     raise AssertionError("zero class without a witness")
                 for j, c in u.items():
@@ -583,10 +604,9 @@ class TorTable:
         block = self._blocks.get((bidegree, mu))
         if block is None:
             keys = self._block_keys(mu, t, range(k - 1, k + 2))
-            block = _Block(self.ring, keys[k],
-                           {key: i for i, key in enumerate(keys[k - 1])},
-                           keys[k + 1], self.column)
-            block.finish(self.ring, self.column)
+            block = _Block(self.ring, keys[k], keys[k - 1], keys[k + 1],
+                           self.column)
+            block.finish()
             self._blocks[(bidegree, mu)] = block
         return block
 
@@ -714,11 +734,11 @@ def compute_tor(data, ring, bound=None):
     blocks, and on a complex identity chi builds no multidegree whose
     full subcomplex is a cone.  Per internal degree one _block_keys call
     per multidegree gives the keys of every k that a block reads (k - 1,
-    k and k + 1); every block runs its kernel Smith form first, in
-    ascending k and sorted multidegree; then each block is finished from
-    the rank and the unit diagonal of the block one step up in the same
+    k and k + 1); every block finds its rank and unit flag first (unit
+    pivots, or a kernel Smith form), in ascending k and sorted multidegree;
+    then each is finished from those of the block one step up in the same
     multidegree: an acyclic block gets the zero cokernel, any other one
-    the cokernel of its image."""
+    runs its kernel Smith form and gets the cokernel of its image."""
     data.ensure_valid()
     if bound is None:
         bound = len(data.vertices) + data.n
@@ -749,9 +769,8 @@ def compute_tor(data, ring, bound=None):
                 continue
             here, out, inc = grouped[k], grouped[k - 1], grouped[k + 1]
             blocks[k] = {
-                mu: _Block(ring, here[mu],
-                           {key: i for i, key in enumerate(out.get(mu, ()))},
-                           inc.get(mu, ()), table.column)
+                mu: _Block(ring, here[mu], out.get(mu, ()), inc.get(mu, ()),
+                           table.column)
                 for mu in sorted(here)}
         # block (k + 1, mu) eliminated the incoming map of block (k, mu)
         for k, row in blocks.items():
@@ -764,8 +783,8 @@ def compute_tor(data, ring, bound=None):
                     rank_in, units = 0, True
                 else:
                     rank_in, units = nxt.rank, nxt.units
-                block.finish(ring, table.column,
-                             units and block.rank + rank_in == len(block.keys))
+                block.finish(
+                    units and block.rank + rank_in == len(block.keys))
                 table._blocks[((-k, t), mu)] = block
             table.entries[(-k, t)] = TorEntry((-k, t), tuple(row.values()))
     return table

@@ -14,6 +14,7 @@ from facetor.exactalg import (
     CoefficientRing,
     ExactMatrix,
     PreparedSolver,
+    unit_pivot_rank,
 )
 from facetor.torcohomology import compute_tor
 
@@ -21,6 +22,7 @@ from helpers import QUOTIENT_LARGE, dense, mul_vec, to_dense
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
+F2 = CoefficientRing.integers_mod(2)
 F3 = CoefficientRing.integers_mod(3)
 F5 = CoefficientRing.integers_mod(5)
 F7 = CoefficientRing.integers_mod(7)
@@ -423,6 +425,54 @@ def test_kernel_forms_of_trivial_shape_match_full_elimination(A):
         assert typed_slots(sf.vinv_rows) == (
             typed_slots(full.vinv_rows) if "Vinv" in want else None)
         assert sf.u_rows is None and sf.uinv_cols is None
+
+
+# ---------------------------------------------------------------------------
+# The unit-pivot rank certificate, checked by Smith forms it does not use.
+
+@st.composite
+def integer_columns(draw):
+    """(sparse integer columns {row: int} with entries in -2..2, rows)."""
+    m = draw(st.integers(1, 7))
+    entry = st.integers(-2, 2).filter(bool)
+    cols = draw(st.lists(st.dictionaries(st.integers(0, m - 1), entry,
+                                         max_size=m), max_size=7))
+    return cols, m
+
+
+@given(integer_columns())
+@settings(max_examples=300, deadline=None)
+@example(([{0: 2}], 1))
+@example(([{0: 1, 1: 1}, {0: 1, 1: -1}], 2))  # reduces to {1: -2}
+@example(([{0: -1, 1: 2}, {0: 2, 1: 3}], 2))  # reduces to {1: 7}
+@example(([{0: 1, 1: 2}, {0: 2, 1: 3}], 2))   # determinant -1
+@example(([{}, {0: 1, 2: -1}, {0: -1, 2: 1}, {1: 2, 2: 1}], 3))
+def test_unit_pivot_rank_is_the_rank_with_unit_invariants(case):
+    # whenever the certificate gives r, Smith over ZZ has rank r and every
+    # invariant 1, and the rank over QQ, Z/2 and Z/3 is r; it leaves its
+    # input unchanged
+    cols, m = case
+    before = [dict(col) for col in cols]
+    r = unit_pivot_rank(cols)
+    assert cols == before
+    if r is None:
+        return
+    sf = ExactMatrix.from_columns(cols, m, ZZ).smith_normal_form(want=())
+    assert sf.diagonal == [1] * r
+    for ring in (QQ, F2, F3):
+        assert ExactMatrix.from_columns(cols, m, ring).rank() == r
+
+
+def test_unit_pivot_rank_known_values():
+    assert unit_pivot_rank([]) == 0
+    assert unit_pivot_rank([{}, {}]) == 0
+    assert unit_pivot_rank([{0: -1, 3: 5}]) == 1
+    assert unit_pivot_rank([{0: 1, 1: 2}, {0: 2, 1: 3}]) == 2
+    assert unit_pivot_rank([{0: 1, 1: 1}, {0: 2, 1: 2}]) == 1
+    # stalls: a column left nonzero with no entry +-1
+    assert unit_pivot_rank([{0: 2}]) is None
+    assert unit_pivot_rank([{0: 1, 1: 1}, {0: 1, 1: -1}]) is None
+    assert unit_pivot_rank([{0: -1, 1: 2}, {0: 2, 1: 3}]) is None
 
 
 def smith_output_sample():
