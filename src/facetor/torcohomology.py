@@ -536,7 +536,9 @@ class TorTable:
         if differential(z, self.data, self.ring, self.face, self.column):
             raise ValueError("element is not a cocycle")
         layout = self.layout(ztotal)
-        coords = [0] * layout.size
+        # canonical coordinates; project gives a rational zero as the int 0
+        coords = list(self.zero_class(ztotal).coords)
+        zero = self.ring.zero()
         offsets = {bd: offset for bd, offset, _ in layout.parts}
         for bd, comp in self._components(z).items():
             if bd not in self.entries:
@@ -556,8 +558,8 @@ class TorTable:
                 pos = offsets[bd] + block.offset
                 free, tors = block.coker.project(
                     block.kernel_coords(block.local(part)))
-                coords[pos:pos + block.size] = free + tors
-        return CohomologyClass(self, ztotal, tuple(coords))
+                coords[pos:pos + block.size] = [c or zero for c in free + tors]
+        return CohomologyClass._from_canonical(self, ztotal, tuple(coords))
 
     def coboundary_witness(self, z):
         """w with d(w) = z, for a cocycle reducing to zero: the block of
