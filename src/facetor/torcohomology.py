@@ -1,23 +1,25 @@
 """Cohomology of Koszul complexes: Tor tables, classes, and products.
 
 compute_tor runs the differential bidegree by bidegree.  Within one
-internal degree the complex is a finite chain of free modules; the kernel
-at each spot comes from a Smith form of the outgoing map (saturated over
-the integers), the incoming image is rewritten in kernel coordinates, and
-its cokernel structure yields ranks, torsion invariants, and deterministic
-representative cocycles.  Most blocks carry no cohomology, and ranks
-tell which: H_k = 0 exactly when rank d_k + rank d_(k+1) is the number
-of keys and, over ZZ, every Smith diagonal entry of d_(k+1) is a unit,
-since ker d_k is a direct summand (see _Block).  Ranks come first, from
-unit pivots (exactalg.unit_pivot_rank), and a kernel Smith form runs
-where a pivot is missing or cohomology lives; an acyclic block shares
-one zero cokernel and builds its kernel only on demand.  The table owns
-one cache of the integer Koszul columns of its keys
-(koszul.integer_column); each column is built once and converted into
-the ring when a block's matrix is built, and the cocycle check of reduce
-and the blocks read the same cache.  Each block keeps its kernel rows by
-column, so the kernel coordinates of a vector cost as much as its few nonzeros, not the number
-of kernel rows.  When chi is the identity the differential also
+internal degree the complex is a finite chain of free modules; where
+cohomology lives, the kernel at each spot comes from a Smith form of the
+outgoing map (saturated over the integers), the incoming image is
+rewritten in kernel coordinates, and its cokernel structure yields
+ranks, torsion invariants, and deterministic representative cocycles.
+Most blocks carry no cohomology, and ranks tell which: H_k = 0 exactly
+when rank d_k + rank d_(k+1) is the number of keys and, over ZZ, every
+Smith diagonal entry of d_(k+1) is a unit, since ker d_k is a direct
+summand (see _Block).  Ranks come first, from unit pivots
+(exactalg.unit_pivot_rank); a block runs its kernel Smith form at once
+when a column stalls without a unit pivot, and otherwise only when it
+carries cohomology or a reader asks for its kernel.  An acyclic block
+shares one zero cokernel.  The table owns one cache of the integer
+Koszul columns of its keys (koszul.integer_column); each column is built
+once and converted into the ring when a block's matrix is built, and the
+unit pivots, the cocycle check of reduce and the blocks built on demand
+read the same cache.  Each block keeps its kernel rows by column, so the
+kernel coordinates of a vector cost as much as its few nonzeros, not the
+number of kernel rows.  When chi is the identity the differential also
 preserves the fine multidegree, so each bidegree splits into small blocks
 that are solved independently, and only the squarefree multidegrees are
 built: a key (S, t_sigma) with the element sigma disjoint from S, grouped
@@ -124,21 +126,25 @@ class _Block:
     the cokernel of the incoming image in kernel coordinates.
 
     The constructor finds the rank of d_k and whether every Smith
-    diagonal entry is a unit from unit pivots on its integer columns
-    (exactalg.unit_pivot_rank: all entries 1), or, when a column stalls
-    and for one column or no nonzero entry, from the kernel Smith form,
-    which a certified block runs on the first use of its kernel; finish
-    then sets the cokernel.  H_k = ker d_k / im d_{k+1} is zero exactly
-    when rank d_k + rank d_{k+1} is the number of keys and, over ZZ, every
-    Smith diagonal entry of d_{k+1} is a unit: C_k / ker d_k embeds in the
-    free C_(k-1), so ker d_k is a direct summand and the torsion of H_k is
-    the torsion of C_k / im d_{k+1}.  Such a block gets the shared zero
-    cokernel and builds its kernel and image only on demand."""
+    diagonal entry is a unit.  With certify, unit pivots on its integer
+    columns give both (exactalg.unit_pivot_rank; every entry is then 1);
+    a block built without certify, of one column or of no nonzero entry,
+    or one whose column stalls, runs its kernel Smith form at once
+    instead.  A certified block runs that form on the first use of its
+    kernel, which finish makes when the block carries cohomology.  finish
+    then sets the cokernel.  H_k = ker d_k /
+    im d_{k+1} is zero exactly when rank d_k + rank d_{k+1} is the number
+    of keys and, over ZZ, every Smith diagonal entry of d_{k+1} is a unit:
+    C_k / ker d_k embeds in the free C_(k-1), so ker d_k is a direct
+    summand and the torsion of H_k is the torsion of C_k / im d_{k+1}.
+    Such a block gets the shared zero cokernel and builds its kernel and
+    image only on demand."""
 
     __slots__ = ("keys", "index", "out_keys", "incoming", "column", "ring",
                  "rank", "units", "_kernel", "_image", "coker", "offset")
 
-    def __init__(self, ring, keys, out_keys, incoming, column):
+    def __init__(self, ring, keys, out_keys, incoming, column,
+                 certify=False):
         self.ring = ring
         self.keys = keys
         self.index = {key: i for i, key in enumerate(keys)}
@@ -148,7 +154,8 @@ class _Block:
         self._kernel = self._image = self.coker = None
         self.offset = None  # of its generators in the entry, set by TorEntry
         cols = self._columns()
-        rank = unit_pivot_rank(cols) if len(cols) > 1 and any(cols) else None
+        rank = (unit_pivot_rank(cols)
+                if certify and len(cols) > 1 and any(cols) else None)
         if rank is None:
             self.kernel(cols)
         else:
@@ -736,11 +743,14 @@ def compute_tor(data, ring, bound=None):
     blocks, and on a complex identity chi builds no multidegree whose
     full subcomplex is a cone.  Per internal degree one _block_keys call
     per multidegree gives the keys of every k that a block reads (k - 1,
-    k and k + 1); every block finds its rank and unit flag first (unit
-    pivots, or a kernel Smith form), in ascending k and sorted multidegree;
-    then each is finished from those of the block one step up in the same
-    multidegree: an acyclic block gets the zero cokernel, any other one
-    runs its kernel Smith form and gets the cokernel of its image."""
+    k and k + 1).  Blocks are built in descending k and sorted
+    multidegree, each after the block one step up in the same multidegree,
+    and find their rank and unit flag: from unit pivots where those of the
+    block above leave H_k = 0 possible, else from the kernel Smith form.
+    A block is acyclic when its rank and the rank and unit flag of the
+    block above say so, and gets the zero cokernel; then, in ascending k,
+    every other block runs its kernel Smith form, if the unit pivots
+    spared it, and gets the cokernel of its image."""
     data.ensure_valid()
     if bound is None:
         bound = len(data.vertices) + data.n
@@ -761,32 +771,41 @@ def compute_tor(data, ring, bound=None):
             for k, keys in table._block_keys(mu, t, ks).items():
                 if keys:
                     grouped[k][mu] = keys
-        # every kernel form first, in ascending k: {k: {mu: block}}
+        # descending k, so block (k + 1, mu), which eliminated the
+        # incoming map of block (k, mu), has its rank and unit flag first:
+        # {k: {mu: block}}
         blocks = {}
-        for k in range(kmin, kmax + 1):
+        for k in range(kmax, kmin - 1, -1):
             if not _has_monomials(face, t - 2 * k):
                 continue  # the bidegree basis is empty
             if k < kcut:
                 blocks[k] = {}  # zero above top: an entry without blocks
                 continue
             here, out, inc = grouped[k], grouped[k - 1], grouped[k + 1]
-            blocks[k] = {
-                mu: _Block(ring, here[mu], out.get(mu, ()), inc.get(mu, ()),
-                           table.column)
-                for mu in sorted(here)}
-        # block (k + 1, mu) eliminated the incoming map of block (k, mu)
-        for k, row in blocks.items():
             above = blocks.get(k + 1, {})
-            for mu, block in row.items():
+            row = blocks[k] = {}
+            for mu in sorted(here):
+                keys, out_keys = here[mu], out.get(mu, ())
                 nxt = above.get(mu)
                 if nxt is None:
-                    if block.incoming:
+                    if inc.get(mu):
                         raise AssertionError("incoming keys without a block")
                     rank_in, units = 0, True
                 else:
                     rank_in, units = nxt.rank, nxt.units
-                block.finish(
-                    units and block.rank + rank_in == len(block.keys))
+                # rank d_k <= len(out_keys): otherwise H_k != 0, and unit
+                # pivots would only precede the kernel form
+                block = row[mu] = _Block(
+                    ring, keys, out_keys, inc.get(mu, ()), table.column,
+                    units and rank_in + len(out_keys) >= len(keys))
+                if units and block.rank + rank_in == len(keys):
+                    block.finish(acyclic=True)
+        # then the cokernels of the other blocks, in ascending k
+        for k in sorted(blocks):
+            row = blocks[k]
+            for mu, block in row.items():
+                if block.coker is None:
+                    block.finish()
                 table._blocks[((-k, t), mu)] = block
             table.entries[(-k, t)] = TorEntry((-k, t), tuple(row.values()))
     return table
