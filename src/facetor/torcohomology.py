@@ -132,13 +132,14 @@ class _Block:
     or one whose column stalls, runs its kernel Smith form at once
     instead.  A certified block runs that form on the first use of its
     kernel, which finish makes when the block carries cohomology.  finish
-    then sets the cokernel.  H_k = ker d_k /
-    im d_{k+1} is zero exactly when rank d_k + rank d_{k+1} is the number
-    of keys and, over ZZ, every Smith diagonal entry of d_{k+1} is a unit:
-    C_k / ker d_k embeds in the free C_(k-1), so ker d_k is a direct
-    summand and the torsion of H_k is the torsion of C_k / im d_{k+1}.
-    Such a block gets the shared zero cokernel and builds its kernel and
-    image only on demand."""
+    then sets the cokernel.
+
+    H_k = ker d_k / im d_{k+1} is zero exactly when rank d_k + rank
+    d_{k+1} is the number of keys and, over ZZ, every Smith diagonal entry
+    of d_{k+1} is a unit: C_k / ker d_k embeds in the free C_(k-1), so
+    ker d_k is a direct summand and the torsion of H_k is the torsion of
+    C_k / im d_{k+1}.  Such a block gets the shared zero cokernel and
+    builds its kernel and image only on demand."""
 
     __slots__ = ("keys", "index", "out_keys", "incoming", "column", "ring",
                  "rank", "units", "_kernel", "_image", "coker", "offset")
