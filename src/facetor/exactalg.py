@@ -27,14 +27,14 @@ of a matrix with no nonzero entry or one column would work on rows only:
 it returns at once, V and Vinv the identity and the diagonal empty, or
 the column's content over ZZ, 1 over a field.
 
-unit_pivot_rank reads a rank off unit pivots with no Smith form; a column
-without one leaves the matrix to the Smith form.
+unit_pivot_rank reads a rank off unit pivots, with no Smith form, or
+leaves the matrix to the Smith form when a column has none.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import gcd
 
 
@@ -691,17 +691,16 @@ def _fractions_in_place(slots):
 
 
 def unit_pivot_rank(columns):
-    """The rank r of an integer matrix of sparse columns {row: int} when
-    unit pivots certify it, else None.  Each column, reduced against the
-    earlier pivots in pivot order (a heap), becomes a pivot at its first
-    entry +-1, or stalls without one.  The pivot rows carry a unit
-    triangular minor and the pivot columns span every column over ZZ, so
-    the rank is r over QQ, ZZ and every Z/p, each Smith invariant 1."""
+    """The rank r of integer columns {row: int} when unit pivots certify
+    it, else None.  Each column, reduced against the earlier pivots in
+    pivot order (a heap), becomes a pivot at its first entry +-1 or
+    stalls.  The pivot rows carry a unit triangular minor and the pivot
+    columns span every column over ZZ, so the rank is r over QQ, ZZ and
+    every Z/p, each Smith invariant 1."""
     pivot_of, pivots = {}, []  # row -> position; (row, reduced column)
     for col in columns:
         col = dict(col)
-        heap = [pivot_of[i] for i in col if i in pivot_of]
-        heapify(heap)
+        heap = sorted(pivot_of[i] for i in col if i in pivot_of)
         while heap:
             row, pcol = pivots[heappop(heap)]
             c = col.get(row, 0) * pcol[row]
@@ -711,10 +710,8 @@ def unit_pivot_rank(columns):
             for i, v in pcol.items():
                 if i not in col and i in pivot_of:
                     heappush(heap, pivot_of[i])
-                w = col.get(i, 0) - c * v
-                if w:
-                    col[i] = w
-                else:
+                col[i] = col.get(i, 0) - c * v
+                if not col[i]:
                     del col[i]
         if col:
             row = next((i for i, v in col.items() if v == 1 or v == -1), None)

@@ -4,37 +4,34 @@ compute_tor runs the differential bidegree by bidegree.  Within one
 internal degree the complex is a finite chain of free modules; where
 cohomology lives, the kernel at each spot comes from a Smith form of the
 outgoing map (saturated over the integers), the incoming image is
-rewritten in kernel coordinates, and its cokernel structure yields
-ranks, torsion invariants, and deterministic representative cocycles.
-Most blocks carry no cohomology, and ranks tell which: H_k = 0 exactly
-when rank d_k + rank d_(k+1) is the number of keys and, over ZZ, every
-Smith diagonal entry of d_(k+1) is a unit, since ker d_k is a direct
-summand (see _Block).  Ranks come first, from unit pivots
-(exactalg.unit_pivot_rank); a block runs its kernel Smith form at once
-when a column stalls without a unit pivot, and otherwise only when it
-carries cohomology or a reader asks for its kernel.  An acyclic block
-shares one zero cokernel.  The table owns one cache of the integer
-Koszul columns of its keys (koszul.integer_column); each column is built
-once and converted into the ring when a block's matrix is built, and the
-unit pivots, the cocycle check of reduce and the blocks built on demand
-read the same cache.  Each block keeps its kernel rows by column, so the
-kernel coordinates of a vector cost as much as its few nonzeros, not the
-number of kernel rows.  When chi is the identity the differential also
-preserves the fine multidegree, so each bidegree splits into small blocks
-that are solved independently, and only the squarefree multidegrees are
-built: a key (S, t_sigma) with the element sigma disjoint from S, grouped
-by W = S + V(sigma); several elements of a simplicial poset may share a
-vertex set, and each gives its own key.  The block of W is the cochain
-complex of the full subcomplex K_W, its keys read off the faces inside
-W.  The Koszul complex of the face
-ring is exact over every coefficient ring in the other multidegrees
-(Hochster's formula for complexes; Lu and Panov, "Moment-angle complexes
-from simplicial posets", for posets), so those blocks carry no
-cohomology.  With any other chi each bidegree is solved whole, as the one
-block of the trivial multidegree ().  The table decides this grading in
-one place: it lists the multidegrees built in an internal degree, the
-keys of a block, and the multidegree of a key, and compute_tor, reduce,
-multidegree_block and coboundary_witness read only these.
+rewritten in kernel coordinates, and its cokernel structure yields ranks,
+torsion invariants, and deterministic representative cocycles.  Most
+blocks carry no cohomology, and ranks tell which: H_k = 0 exactly when
+rank d_k + rank d_(k+1) is the number of keys and, over ZZ, every Smith
+diagonal entry of d_(k+1) is a unit, since ker d_k is a direct summand
+(see _Block); the ranks come from unit pivots where they can, and an
+acyclic block shares one zero cokernel and builds its kernel only on
+demand.  The table owns one cache of the integer Koszul columns of its
+keys (koszul.integer_column); each column is built once and converted
+into the ring when a block's matrix is built, and the blocks and the
+cocycle check of reduce read the same cache.  Each block keeps its kernel
+rows by column, so the kernel coordinates of a vector cost as much as its
+few nonzeros, not the number of kernel rows.  When chi is the identity
+the differential also preserves the fine multidegree, so each bidegree
+splits into small blocks that are solved independently, and only the
+squarefree multidegrees are built: a key (S, t_sigma) with the element
+sigma disjoint from S, grouped by W = S + V(sigma); several elements of a
+simplicial poset may share a vertex set, and each gives its own key.  The
+block of W is the cochain complex of the full subcomplex K_W, its keys
+read off the faces inside W.  The Koszul complex of the face ring is
+exact over every coefficient ring in the other multidegrees (Hochster's
+formula for complexes; Lu and Panov, "Moment-angle complexes from
+simplicial posets", for posets), so those blocks carry no cohomology.
+With any other chi each bidegree is solved whole, as the one block of the
+trivial multidegree ().  The table decides this grading in one place: it
+lists the multidegrees built in an internal degree, the keys of a block,
+and the multidegree of a key, and compute_tor, reduce, multidegree_block
+and coboundary_witness read only these.
 
 Two more cuts build no block that topology proves zero.  The table is the
 cohomology of X = Z_P x_{T^m} T^n, a CW complex of dimension N = n + d,
@@ -126,13 +123,11 @@ class _Block:
     the cokernel of the incoming image in kernel coordinates.
 
     The constructor finds the rank of d_k and whether every Smith
-    diagonal entry is a unit.  With certify, unit pivots on its integer
-    columns give both (exactalg.unit_pivot_rank; every entry is then 1);
-    a block built without certify, of one column or of no nonzero entry,
-    or one whose column stalls, runs its kernel Smith form at once
-    instead.  A certified block runs that form on the first use of its
-    kernel, which finish makes when the block carries cohomology.  finish
-    then sets the cokernel.
+    diagonal entry is a unit: with certify, from unit pivots on its
+    integer columns (exactalg.unit_pivot_rank; every entry is then 1),
+    else, for one column or no nonzero entry, or when a column stalls,
+    from the kernel Smith form, which a certified block runs on the first
+    use of its kernel.  finish then sets the cokernel.
 
     H_k = ker d_k / im d_{k+1} is zero exactly when rank d_k + rank
     d_{k+1} is the number of keys and, over ZZ, every Smith diagonal entry
@@ -164,23 +159,18 @@ class _Block:
 
     def _columns(self):
         """The integer columns of d_k over the positions of the k - 1 keys."""
-        out_index = {key: i for i, key in enumerate(self.out_keys)}
-        cols = []
-        for key in self.keys:
-            col = {}
-            for key2, c in self.column(key).items():
-                row = out_index.get(key2)
-                if row is None:
-                    raise AssertionError(
-                        "differential left the bidegree basis at %r" % (key2,))
-                col[row] = c
-            cols.append(col)
-        return cols
+        row = {key: i for i, key in enumerate(self.out_keys)}
+        try:
+            return [{row[key2]: c for key2, c in self.column(key).items()}
+                    for key in self.keys]
+        except KeyError as exc:
+            raise AssertionError("differential left the bidegree basis at %r"
+                                 % exc.args) from None
 
     def kernel(self, cols=None):
-        """(the kernel rows Vinv[r:] by column, {j: [(i - r, value), ...]},
-        the kernel columns V[r:]), from the kernel Smith form of d_k (cols,
-        or rebuilt), run on first use; it sets the rank and unit flag."""
+        """(kernel rows Vinv[r:] by column, {j: [(i - r, value), ...]},
+        kernel columns V[r:]), from the Smith form of d_k (cols, or
+        rebuilt) run on first use, which sets the rank and unit flag."""
         if self._kernel is None:
             sf = ExactMatrix.from_columns(
                 self._columns() if cols is None else cols, len(self.out_keys),
@@ -745,13 +735,11 @@ def compute_tor(data, ring, bound=None):
     full subcomplex is a cone.  Per internal degree one _block_keys call
     per multidegree gives the keys of every k that a block reads (k - 1,
     k and k + 1).  Blocks are built in descending k and sorted
-    multidegree, each after the block one step up in the same multidegree,
-    and find their rank and unit flag: from unit pivots where those of the
-    block above leave H_k = 0 possible, else from the kernel Smith form.
-    A block is acyclic when its rank and the rank and unit flag of the
-    block above say so, and gets the zero cokernel; then, in ascending k,
-    every other block runs its kernel Smith form, if the unit pivots
-    spared it, and gets the cokernel of its image."""
+    multidegree, after the block one step up in the same multidegree,
+    whose rank and unit flag decide whether unit pivots may prove the
+    block acyclic (see _Block) and whether it is: an acyclic block gets
+    the zero cokernel, and then, in ascending k, every other one the
+    cokernel of its image."""
     data.ensure_valid()
     if bound is None:
         bound = len(data.vertices) + data.n
@@ -772,9 +760,8 @@ def compute_tor(data, ring, bound=None):
             for k, keys in table._block_keys(mu, t, ks).items():
                 if keys:
                     grouped[k][mu] = keys
-        # descending k, so block (k + 1, mu), which eliminated the
-        # incoming map of block (k, mu), has its rank and unit flag first:
-        # {k: {mu: block}}
+        # block (k + 1, mu) eliminated the incoming map of block (k, mu),
+        # so it is built first: {k: {mu: block}}
         blocks = {}
         for k in range(kmax, kmin - 1, -1):
             if not _has_monomials(face, t - 2 * k):
@@ -788,12 +775,9 @@ def compute_tor(data, ring, bound=None):
             for mu in sorted(here):
                 keys, out_keys = here[mu], out.get(mu, ())
                 nxt = above.get(mu)
-                if nxt is None:
-                    if inc.get(mu):
-                        raise AssertionError("incoming keys without a block")
-                    rank_in, units = 0, True
-                else:
-                    rank_in, units = nxt.rank, nxt.units
+                if nxt is None and inc.get(mu):
+                    raise AssertionError("incoming keys without a block")
+                rank_in, units = (nxt.rank, nxt.units) if nxt else (0, True)
                 # rank d_k <= len(out_keys): otherwise H_k != 0, and unit
                 # pivots would only precede the kernel form
                 block = row[mu] = _Block(
@@ -802,8 +786,7 @@ def compute_tor(data, ring, bound=None):
                 if units and block.rank + rank_in == len(keys):
                     block.finish(acyclic=True)
         # then the cokernels of the other blocks, in ascending k
-        for k in sorted(blocks):
-            row = blocks[k]
+        for k, row in sorted(blocks.items()):
             for mu, block in row.items():
                 if block.coker is None:
                     block.finish()
