@@ -7,6 +7,8 @@ normal form is the one elimination kernel: it tracks the row and column
 transforms and their inverses, keeps each in the layout it builds it in
 (U and Vinv by rows, Uinv and V by columns), and rank, kernels, cokernels
 and SmithForm.solve, the one solve routine, read that layout as it is.
+Every form, of any shape and whichever transforms it tracks, runs that
+one elimination.
 
 Inside the Smith kernel a rational entry whose denominator is 1 is held as
 an int, normalised on every write, so that integral work (the usual case:
@@ -22,11 +24,6 @@ crossing line that gained or lost an entry, and the search refreshes the
 marked rows and the rows that meet a marked column, so the pivot sequence
 is that of a full scan of the active submatrix.
 
-A form without U and Uinv (kernel forms want V and Vinv, rank forms none)
-of a matrix with no nonzero entry or one column would work on rows only:
-it returns at once, V and Vinv the identity and the diagonal empty, or
-the column's content over ZZ, 1 over a field.
-
 unit_pivot_rank reads a rank off unit pivots, with no Smith form, or
 leaves the matrix to the Smith form when a column has none.
 """
@@ -35,7 +32,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import gcd
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -628,15 +624,6 @@ def _smith(matrix, want):
             raise ValueError("unknown transform %r" % (name,))
     m, n = matrix.nrows, matrix.ncols
     ring = matrix.ring
-    if "U" not in want and "Uinv" not in want and (n == 1 or not matrix.rows):
-        one = ring.one()
-        diagonal = []
-        if matrix.rows:  # one column: its content over ZZ, 1 over a field
-            diagonal = [gcd(*(row[0] for row in matrix.rows.values()))
-                        if ring.kind == "ZZ" else one]
-        v, vinv = ([{j: one} for j in range(n)] if name in want else None
-                   for name in ("V", "Vinv"))
-        return SmithForm(m, n, ring, diagonal, None, None, v, vinv)
     state = _SnfState(matrix, want)
     t = 0
     while _eliminate_at(state, t):

@@ -125,9 +125,9 @@ class _Block:
     The constructor finds the rank of d_k and whether every Smith
     diagonal entry is a unit: with certify, from unit pivots on its
     integer columns (exactalg.unit_pivot_rank; every entry is then 1),
-    else, for one column or no nonzero entry, or when a column stalls,
-    from the kernel Smith form, which a certified block runs on the first
-    use of its kernel.  finish then sets the cokernel.
+    else, or when a column stalls, from the kernel Smith form, which a
+    certified block runs on the first use of its kernel.  finish then
+    sets the cokernel.
 
     H_k = ker d_k / im d_{k+1} is zero exactly when rank d_k + rank
     d_{k+1} is the number of keys and, over ZZ, every Smith diagonal entry
@@ -150,8 +150,7 @@ class _Block:
         self._kernel = self._image = self.coker = None
         self.offset = None  # of its generators in the entry, set by TorEntry
         cols = self._columns()
-        rank = (unit_pivot_rank(cols)
-                if certify and len(cols) > 1 and any(cols) else None)
+        rank = unit_pivot_rank(cols) if certify else None
         if rank is None:
             self.kernel(cols)
         else:

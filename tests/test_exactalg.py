@@ -414,8 +414,9 @@ def typed_slots(slots):
 @example(ExactMatrix(0, 3, QQ))
 @example(ExactMatrix(3, 0, ZZ))
 def test_kernel_forms_of_trivial_shape_match_full_elimination(A):
-    # forms without U and Uinv on a zero or one-column matrix return at
-    # once; the form that wants all four transforms is eliminated in full
+    # forms without U and Uinv on a zero or one-column matrix give the
+    # transforms they track, with their entry types, and the diagonal of
+    # the form that wants all four transforms
     full = A.smith_normal_form()
     for want in (("V", "Vinv"), ("V",), ("Vinv",), ()):
         sf = A.smith_normal_form(want=want)

@@ -29,6 +29,7 @@ from helpers import (DOUBLED_PENTAGON, QUOTIENT_LARGE, cstar2_data,
                      small_characteristic_data, small_complex_facets,
                      small_poset_data, solid_simplex, sphere_data,
                      subset_block_keys, total_degree_basis, uct_report)
+from test_acceptance import FANS
 
 QQ = CoefficientRing.rationals()
 ZZ = CoefficientRing.integers()
@@ -698,6 +699,45 @@ def test_block_ranks_and_unit_flags_match_full_kernel_forms(name):
                 assert acyclic
             checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, F2], ids=str)
+@pytest.mark.parametrize("name", sorted(FANS))
+def test_smooth_fans_run_no_smith_form_above_degree_zero(monkeypatch, name,
+                                                         ring):
+    # all of Tor of a smooth complete fan sits at k = 0, so unit pivots
+    # rank every block with k >= 1, one column and no nonzero entry
+    # included, and compute_tor runs no Smith form while such a block is
+    # built or finished
+    original = exactalg._smith
+    running = []  # the blocks whose methods are running, innermost last
+    forms = []  # (k, shape, want) of each form run inside a k >= 1 block
+
+    def recording(matrix, want):
+        if running:
+            k = len(running[-1].keys[0][0])
+            if k >= 1:
+                forms.append((k, matrix.nrows, matrix.ncols, tuple(want)))
+        return original(matrix, want)
+
+    def in_block(method):
+        def running_block(self, *args, **kwargs):
+            running.append(self)
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                running.pop()
+        return running_block
+
+    monkeypatch.setattr(exactalg, "_smith", recording)
+    for method in ("__init__", "kernel", "finish"):
+        monkeypatch.setattr(_Block, method, in_block(getattr(_Block, method)))
+    rays, cones, _ = FANS[name]
+    table = compute_tor(CharacteristicData.from_fan(rays, cones, name=name),
+                        ring)
+    assert any(-j >= 1 and entry.blocks
+               for (j, _), entry in table.entries.items())
+    assert forms == []
 
 
 def test_posets_build_only_squarefree_blocks():
